@@ -107,37 +107,16 @@ void HybridMonitor::probe_now(const Path& path, Metric metric) {
   });
 }
 
-HybridMonitor::~HybridMonitor() { detach_observability(); }
-
 void HybridMonitor::attach_observability(obs::Registry& registry,
                                          std::string prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = std::move(prefix);
-  registry.gauge_fn(obs_prefix_ + ".escalations", [this] {
-    return static_cast<double>(escalations_);
-  });
-  registry.gauge_fn(obs_prefix_ + ".targeted_measurements", [this] {
-    return static_cast<double>(targeted_done_);
-  });
+  obs_ = obs::Scope(registry, std::move(prefix));
+  obs_.gauge_of("escalations", escalations_);
+  obs_.gauge_of("targeted_measurements", targeted_done_);
   background_.director().attach_observability(registry,
-                                              obs_prefix_ + ".background");
+                                              obs_.prefix() + ".background");
   targeted_sequencer_.attach_observability(
-      registry, obs_prefix_ + ".targeted",
+      registry, obs_.prefix() + ".targeted",
       [this] { return network_.simulator().now().nanos(); });
-}
-
-void HybridMonitor::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  background_.director().detach_observability();
-  targeted_sequencer_.detach_observability();
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
 }
 
 rmon::Alarm& HybridMonitor::arm_utilization_alarm(rmon::Probe& probe,

@@ -67,8 +67,6 @@ class HybridMonitor {
   // the simulator clock).
   void attach_observability(obs::Registry& registry,
                             std::string prefix = "hybrid");
-  void detach_observability();
-  ~HybridMonitor();
 
  private:
   void on_background_tuple(const PathMetricTuple& tuple);
@@ -87,8 +85,7 @@ class HybridMonitor {
   std::map<std::pair<Path, Metric>, sim::TimePoint> targeted_recorded_;
   std::uint64_t escalations_ = 0;
   std::uint64_t targeted_done_ = 0;
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
 };
 
 }  // namespace netmon::core

@@ -79,8 +79,6 @@ LaneScheduler::LaneScheduler(SchedulerConfig config) {
   configure(config);
 }
 
-LaneScheduler::~LaneScheduler() { detach_observability(); }
-
 void LaneScheduler::configure(const SchedulerConfig& config) {
   if (config.lanes == 0) {
     throw std::invalid_argument("LaneScheduler: lanes must be >= 1");
@@ -884,81 +882,36 @@ void LaneScheduler::record_admissions(std::size_t capacity) {
 void LaneScheduler::attach_observability(obs::Registry& registry,
                                          std::string prefix,
                                          std::function<std::int64_t()> now_ns) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    if (now_ns) set_clock(std::move(now_ns));
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = std::move(prefix);
+  obs_ = obs::Scope(registry, std::move(prefix));
   if (now_ns) {
     set_clock(std::move(now_ns));
     obs_timed_ = true;
   } else {
     obs_timed_ = static_cast<bool>(now_ns_);
   }
-  registry.gauge_fn(obs_prefix_ + ".in_flight",
-                    [this] { return static_cast<double>(in_flight_); });
-  registry.gauge_fn(obs_prefix_ + ".queued",
-                    [this] { return static_cast<double>(queued_); });
-  registry.gauge_fn(obs_prefix_ + ".launched",
-                    [this] { return static_cast<double>(launched_); });
-  registry.gauge_fn(obs_prefix_ + ".completed",
-                    [this] { return static_cast<double>(completed_); });
-  registry.gauge_fn(obs_prefix_ + ".double_dones",
-                    [this] { return static_cast<double>(double_dones_); });
-  registry.gauge_fn(obs_prefix_ + ".abandoned",
-                    [this] { return static_cast<double>(abandoned_); });
-  registry.gauge_fn(obs_prefix_ + ".lanes", [this] {
+  obs_.gauge_of("launched", launched_);
+  obs_.gauge_of("completed", completed_);
+  obs_.gauge_of("double_dones", double_dones_);
+  obs_.gauge_of("abandoned", abandoned_);
+  obs_.gauge_of("deferred_budget", sched_stats_.deferred_budget);
+  obs_.gauge_of("deferred_disjoint", sched_stats_.deferred_disjoint);
+  obs_.gauge_of("starvation_picks", sched_stats_.starvation_picks);
+  obs_.gauge_of("priority_inversions", sched_stats_.priority_inversions);
+  obs_.gauge_of("wake_tests", sched_stats_.wake_tests);
+  obs_.gauge_of("futile_wakeups", sched_stats_.futile_wakeups);
+  obs_.gauge_of("in_flight", in_flight_);
+  obs_.gauge_of("queued", queued_);
+  obs_.gauge_fn("lanes", [this] {
     return config_.lanes == kUnlimited ? -1.0
                                        : static_cast<double>(config_.lanes);
   });
-  registry.gauge_fn(obs_prefix_ + ".budget_bps",
-                    [this] { return config_.budget_bps; });
-  registry.gauge_fn(obs_prefix_ + ".committed_bps",
-                    [this] { return committed_bps_; });
-  registry.gauge_fn(obs_prefix_ + ".busy_links", [this] {
-    return static_cast<double>(occupied_links_);
-  });
-  registry.gauge_fn(obs_prefix_ + ".parked_links", [this] {
-    return static_cast<double>(parked_links_);
-  });
-  registry.gauge_fn(obs_prefix_ + ".parked_budget", [this] {
-    return static_cast<double>(parked_budget_);
-  });
-  registry.gauge_fn(obs_prefix_ + ".deferred_budget", [this] {
-    return static_cast<double>(sched_stats_.deferred_budget);
-  });
-  registry.gauge_fn(obs_prefix_ + ".deferred_disjoint", [this] {
-    return static_cast<double>(sched_stats_.deferred_disjoint);
-  });
-  registry.gauge_fn(obs_prefix_ + ".starvation_picks", [this] {
-    return static_cast<double>(sched_stats_.starvation_picks);
-  });
-  registry.gauge_fn(obs_prefix_ + ".priority_inversions", [this] {
-    return static_cast<double>(sched_stats_.priority_inversions);
-  });
-  registry.gauge_fn(obs_prefix_ + ".wake_tests", [this] {
-    return static_cast<double>(sched_stats_.wake_tests);
-  });
-  registry.gauge_fn(obs_prefix_ + ".futile_wakeups", [this] {
-    return static_cast<double>(sched_stats_.futile_wakeups);
-  });
-  if (obs_timed_) {
-    obs_slot_wait_ = &registry.histogram(obs_prefix_ + ".slot_wait_ns");
-    obs_slot_hold_ = &registry.histogram(obs_prefix_ + ".slot_hold_ns");
-  }
-}
-
-void LaneScheduler::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
-  obs_slot_wait_ = nullptr;
-  obs_slot_hold_ = nullptr;
-  obs_timed_ = false;
+  obs_.gauge_of("budget_bps", config_.budget_bps);
+  obs_.gauge_of("committed_bps", committed_bps_);
+  obs_.gauge_of("busy_links", occupied_links_);
+  obs_.gauge_of("parked_links", parked_links_);
+  obs_.gauge_of("parked_budget", parked_budget_);
+  obs_slot_wait_ = obs_timed_ ? obs_.histogram("slot_wait_ns") : nullptr;
+  obs_slot_hold_ = obs_timed_ ? obs_.histogram("slot_hold_ns") : nullptr;
 }
 
 }  // namespace netmon::core

@@ -166,7 +166,6 @@ class LaneScheduler {
       std::numeric_limits<std::size_t>::max();
 
   explicit LaneScheduler(SchedulerConfig config = {});
-  ~LaneScheduler();
   LaneScheduler(const LaneScheduler&) = delete;
   LaneScheduler& operator=(const LaneScheduler&) = delete;
 
@@ -241,7 +240,6 @@ class LaneScheduler {
   void attach_observability(obs::Registry& registry,
                             std::string prefix = "sequencer",
                             std::function<std::int64_t()> now_ns = {});
-  void detach_observability();
 
  private:
   struct DoneState;
@@ -392,8 +390,7 @@ class LaneScheduler {
   std::shared_ptr<int> liveness_ = std::make_shared<int>(0);
 
   // Observability handles (null while detached; owned by the registry).
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
   bool obs_timed_ = false;
   obs::Histogram* obs_slot_wait_ = nullptr;
   obs::Histogram* obs_slot_hold_ = nullptr;

@@ -84,63 +84,31 @@ std::optional<sim::Duration> MeasurementDatabase::senescence(
 
 void MeasurementDatabase::attach_observability(obs::Registry& registry,
                                                std::string prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = std::move(prefix);
-  obs_interval_ = &registry.histogram(obs_prefix_ + ".sample_interval_ns");
-  obs_age_read_ = &registry.histogram(obs_prefix_ + ".age_at_read_ns");
-  registry.gauge_fn(obs_prefix_ + ".records_written", [this] {
-    return static_cast<double>(records_written_);
-  });
-  registry.gauge_fn(obs_prefix_ + ".tracked_series", [this] {
-    return static_cast<double>(tracked_series_);
-  });
-  registry.gauge_fn(obs_prefix_ + ".interned_paths", [this] {
-    return static_cast<double>(paths_.size());
-  });
-  store_.attach_observability(registry, obs_prefix_);
+  obs_ = obs::Scope(registry, std::move(prefix));
+  // The store shares this prefix, so it attaches before anything of ours is
+  // registered: its re-attach removes whatever the old prefix held.
+  store_.attach_observability(registry, obs_.prefix());
+  obs_interval_ = obs_.histogram("sample_interval_ns");
+  obs_age_read_ = obs_.histogram("age_at_read_ns");
+  obs_.gauge_of("records_written", records_written_);
+  obs_.gauge_of("tracked_series", tracked_series_);
+  obs_.gauge_fn("interned_paths",
+                [this] { return static_cast<double>(paths_.size()); });
 }
 
 void MeasurementDatabase::publish_retention_horizons(obs::Registry& registry,
                                                      const std::string& prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  if (horizon_registry_ != nullptr) {
-    horizon_registry_->remove_prefix(horizon_prefix_);
-  }
-  horizon_registry_ = &registry;
-  horizon_prefix_ = prefix;
+  horizons_ = obs::Scope(registry, prefix);
   for (std::size_t s = 0; s < series_.size(); ++s) {
     if (series_[s].history.empty()) continue;
-    const std::string name = prefix + "." + path_of(slot_path(s)).to_string() +
-                             "." + to_string(slot_metric(s)) +
-                             ".retention_horizon_ns";
-    registry.gauge_fn(name, [this, s] {
-      const auto h = store_.retention_horizon(static_cast<std::uint32_t>(s));
-      return h ? static_cast<double>(*h) : -1.0;
-    });
+    horizons_.gauge_fn(path_of(slot_path(s)).to_string() + "." +
+                           to_string(slot_metric(s)) + ".retention_horizon_ns",
+                       [this, s] {
+                         const auto h = store_.retention_horizon(
+                             static_cast<std::uint32_t>(s));
+                         return h ? static_cast<double>(*h) : -1.0;
+                       });
   }
-}
-
-void MeasurementDatabase::detach_observability() {
-  if (horizon_registry_ != nullptr) {
-    horizon_registry_->remove_prefix(horizon_prefix_);
-    horizon_registry_ = nullptr;
-  }
-  if (obs_registry_ == nullptr) return;
-  store_.detach_observability();
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
-  obs_interval_ = nullptr;
-  obs_age_read_ = nullptr;
 }
 
 const util::RingBuffer<Measurement>* MeasurementDatabase::history(

@@ -44,7 +44,6 @@ class MeasurementDatabase {
   explicit MeasurementDatabase(std::size_t history_depth = 64,
                                TieredStorageConfig storage = {})
       : history_depth_(history_depth), store_(std::move(storage)) {}
-  ~MeasurementDatabase() { detach_observability(); }
   MeasurementDatabase(const MeasurementDatabase&) = delete;
   MeasurementDatabase& operator=(const MeasurementDatabase&) = delete;
 
@@ -177,7 +176,6 @@ class MeasurementDatabase {
   // experienced. Detached (default) record() pays one null check.
   void attach_observability(obs::Registry& registry,
                             std::string prefix = "db");
-  void detach_observability();
 
  private:
   struct Series {
@@ -204,12 +202,10 @@ class MeasurementDatabase {
   // Observability handles (null while detached; owned by the registry).
   // Histograms are mutated from const readers: observing a read does not
   // change the database's logical state.
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
+  obs::Scope horizons_;  // publish_retention_horizons()
   obs::Histogram* obs_interval_ = nullptr;
   obs::Histogram* obs_age_read_ = nullptr;
-  obs::Registry* horizon_registry_ = nullptr;
-  std::string horizon_prefix_;
   RecordHook record_hook_;
 };
 

@@ -44,8 +44,6 @@ SensorDirector::SensorDirector(sim::Simulator& sim, std::size_t max_concurrent,
   sequencer_.set_clock([this] { return sim_.now().nanos(); });
 }
 
-SensorDirector::~SensorDirector() { detach_observability(); }
-
 void SensorDirector::register_sensor(Metric metric, NetworkSensor* sensor) {
   if (sensor != nullptr && !sensor->supports(metric)) {
     throw std::invalid_argument("SensorDirector: sensor " + sensor->name() +
@@ -323,17 +321,10 @@ sim::Duration SensorDirector::backoff_delay(const Job& job) const {
 
 void SensorDirector::attach_observability(obs::Registry& registry,
                                           std::string prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = std::move(prefix);
-  sequencer_.attach_observability(registry, obs_prefix_ + ".sequencer",
+  obs_ = obs::Scope(registry, std::move(prefix));
+  sequencer_.attach_observability(registry, obs_.prefix() + ".sequencer",
                                   [this] { return sim_.now().nanos(); });
-  database_.attach_observability(registry, obs_prefix_ + ".db");
+  database_.attach_observability(registry, obs_.prefix() + ".db");
 
   struct Field {
     const char* name;
@@ -355,16 +346,14 @@ void SensorDirector::attach_observability(obs::Registry& registry,
       {"stale_reports", &DirectorStats::stale_reports},
   };
   for (const Field& f : kFields) {
-    registry.gauge_fn(obs_prefix_ + "." + f.name, [this, m = f.member] {
-      return static_cast<double>(stats_.*m);
-    });
+    obs_.gauge_of(f.name, stats_.*f.member);
   }
   static constexpr SampleQuality kQualities[] = {
       SampleQuality::kFresh, SampleQuality::kRetried, SampleQuality::kFallback,
       SampleQuality::kStale};
   for (SampleQuality q : kQualities) {
-    obs_quality_[static_cast<std::size_t>(q)] = &registry.counter(
-        obs_prefix_ + ".quality." + to_string(q));
+    obs_quality_[static_cast<std::size_t>(q)] =
+        obs_.counter(std::string("quality.") + to_string(q));
   }
   // Health entries that predate the attach get their gauges now.
   for (const auto& [key, h] : health_) {
@@ -372,43 +361,23 @@ void SensorDirector::attach_observability(obs::Registry& registry,
   }
 }
 
-void SensorDirector::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  sequencer_.detach_observability();
-  database_.detach_observability();
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
-  obs_quality_ = {};
-}
-
 SensorHealth& SensorDirector::health_entry(NetworkSensor* sensor,
                                            PathId path) {
   auto [it, inserted] = health_.try_emplace({sensor, path});
-  if constexpr (obs::kCompiledIn) {
-    if (inserted && obs_registry_ != nullptr) {
-      publish_health(sensor, path, it->second);
-    }
-  }
+  if (inserted && obs_.attached()) publish_health(sensor, path, it->second);
   return it->second;
 }
 
 void SensorDirector::publish_health(const NetworkSensor* sensor, PathId path,
                                     const SensorHealth& h) {
   // Map nodes are stable, so binding gauge callbacks to the entry is safe
-  // for the director's lifetime; detach_observability removes them.
-  const std::string base = obs_prefix_ + ".health." + sensor->name() + "." +
+  // for the director's lifetime; the director's Scope removes them.
+  const std::string base = "health." + sensor->name() + "." +
                            database_.path_of(path).to_string();
-  obs_registry_->gauge_fn(base + ".successes", [&h] {
-    return static_cast<double>(h.successes);
-  });
-  obs_registry_->gauge_fn(base + ".failures", [&h] {
-    return static_cast<double>(h.failures);
-  });
-  obs_registry_->gauge_fn(base + ".trips",
-                          [&h] { return static_cast<double>(h.trips); });
-  obs_registry_->gauge_fn(base + ".breaker_state", [&h] {
-    return static_cast<double>(h.state);
-  });
+  obs_.gauge_of(base + ".successes", h.successes);
+  obs_.gauge_of(base + ".failures", h.failures);
+  obs_.gauge_of(base + ".trips", h.trips);
+  obs_.gauge_of(base + ".breaker_state", h.state);
 }
 
 bool SensorDirector::breaker_admits(NetworkSensor* sensor, PathId path) {
@@ -439,12 +408,9 @@ void SensorDirector::breaker_success(NetworkSensor* sensor, PathId path) {
     NETMON_INFO("director", "breaker for ", sensor->name(), " on ",
                 database_.path_of(path).to_string(), " closed");
     h.state = BreakerState::kClosed;
-    if constexpr (obs::kCompiledIn) {
-      if (obs_registry_ != nullptr) {
-        obs_registry_->emit(sim_.now().nanos(), "breaker",
-                            sensor->name() + ".closed",
-                            static_cast<double>(path));
-      }
+    if (obs_.attached()) {
+      obs_.emit(sim_.now().nanos(), "breaker", sensor->name() + ".closed",
+                static_cast<double>(path));
     }
   }
   h.probe_in_flight = false;
@@ -467,12 +433,9 @@ void SensorDirector::breaker_failure(NetworkSensor* sensor, PathId path) {
     NETMON_WARN("director", "breaker for ", sensor->name(), " on ",
                 database_.path_of(path).to_string(), " opened (",
                 h.consecutive_failures, " consecutive failures)");
-    if constexpr (obs::kCompiledIn) {
-      if (obs_registry_ != nullptr) {
-        obs_registry_->emit(sim_.now().nanos(), "breaker",
-                            sensor->name() + ".opened",
-                            static_cast<double>(path));
-      }
+    if (obs_.attached()) {
+      obs_.emit(sim_.now().nanos(), "breaker", sensor->name() + ".opened",
+                static_cast<double>(path));
     }
   }
 }

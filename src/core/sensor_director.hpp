@@ -151,7 +151,6 @@ class SensorDirector {
                  SupervisionConfig supervision,
                  std::size_t history_depth = 64,
                  TieredStorageConfig storage = {});
-  ~SensorDirector();
 
   // Sensor registration; the last *primary* registered for a metric wins
   // (and clears that metric's fallback chain). register_fallback appends to
@@ -228,7 +227,6 @@ class SensorDirector {
   // TraceSink.
   void attach_observability(obs::Registry& registry,
                             std::string prefix = "director");
-  void detach_observability();
 
  private:
   struct ActiveRequest {
@@ -289,8 +287,7 @@ class SensorDirector {
   DirectorStats stats_;
 
   // Observability handles (null while detached; owned by the registry).
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
   std::array<obs::Counter*, 4> obs_quality_{};  // indexed by SampleQuality
 };
 

@@ -369,52 +369,22 @@ TierQueryResult TieredStore::query(std::uint32_t series, std::int64_t t0_ns,
 
 void TieredStore::attach_observability(obs::Registry& registry,
                                        const std::string& prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  if (!config_.enabled) return;
-  obs_registry_ = &registry;
-  obs_prefix_ = prefix;
-  registry.gauge_fn(prefix + ".pool.pages_in_use", [this] {
-    return static_cast<double>(stats_.pages_in_use);
-  });
-  registry.gauge_fn(prefix + ".pool.pages", [this] {
-    return static_cast<double>(stats_.pool_pages);
-  });
-  registry.gauge_fn(prefix + ".pool.bytes", [this] {
-    return static_cast<double>(stats_.bytes);
-  });
-  registry.gauge_fn(prefix + ".pool.overcommits", [this] {
-    return static_cast<double>(stats_.overcommits);
-  });
+  obs_ = config_.enabled ? obs::Scope(registry, prefix) : obs::Scope();
+  if (!obs_.attached()) return;
+  obs_.gauge_of("pool.pages_in_use", stats_.pages_in_use);
+  obs_.gauge_of("pool.pages", stats_.pool_pages);
+  obs_.gauge_of("pool.bytes", stats_.bytes);
+  obs_.gauge_of("pool.overcommits", stats_.overcommits);
   for (std::size_t t = 0; t < config_.tiers; ++t) {
-    const std::string tp = prefix + ".tier" + std::to_string(t);
-    registry.gauge_fn(tp + ".pages", [this, t] {
-      return static_cast<double>(tier_stats_[t].pages);
-    });
-    registry.gauge_fn(tp + ".points", [this, t] {
-      return static_cast<double>(tier_stats_[t].points);
-    });
+    const std::string tp = "tier" + std::to_string(t);
+    obs_.gauge_of(tp + ".pages", tier_stats_[t].pages);
+    obs_.gauge_of(tp + ".points", tier_stats_[t].points);
     // True monotone counters, seeded with the cumulative totals so a
     // mid-life attach still reports the real rollover/eviction history.
-    obs_rollovers_[t] = &registry.counter(tp + ".rollovers");
+    obs_rollovers_[t] = obs_.counter(tp + ".rollovers");
     obs_rollovers_[t]->inc(tier_stats_[t].rollovers);
-    obs_evictions_[t] = &registry.counter(tp + ".evictions");
+    obs_evictions_[t] = obs_.counter(tp + ".evictions");
     obs_evictions_[t]->inc(tier_stats_[t].evictions);
-  }
-}
-
-void TieredStore::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  obs_registry_->remove_prefix(obs_prefix_ + ".pool");
-  obs_registry_->remove_prefix(obs_prefix_ + ".tier");
-  obs_registry_ = nullptr;
-  for (std::size_t t = 0; t < kMaxTiers; ++t) {
-    obs_rollovers_[t] = nullptr;
-    obs_evictions_[t] = nullptr;
   }
 }
 

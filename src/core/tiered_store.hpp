@@ -193,9 +193,9 @@ class TieredStore {
   // Self-observability (DESIGN.md §10): "<prefix>.pool.*" gauges and
   // per-tier "<prefix>.tier<t>.{pages,points}" gauges plus
   // "<prefix>.tier<t>.{rollovers,evictions}" counters (seeded with the
-  // cumulative totals at attach time, so they stay true counters).
+  // cumulative totals at attach time, so they stay true counters). A
+  // disabled store registers nothing.
   void attach_observability(obs::Registry& registry, const std::string& prefix);
-  void detach_observability();
 
  private:
   struct Page {
@@ -248,8 +248,7 @@ class TieredStore {
   std::uint64_t eviction_hash_ = 1469598103934665603ull;  // FNV-1a basis
 
   // Observability handles (null while detached; owned by the registry).
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
   obs::Counter* obs_rollovers_[kMaxTiers] = {};
   obs::Counter* obs_evictions_[kMaxTiers] = {};
 };

@@ -20,7 +20,6 @@ ControlPlane::ControlPlane(sim::Simulator& sim, net::Network& network,
 }
 
 ControlPlane::~ControlPlane() {
-  detach_observability();
   // The observer and listener closures capture `this`; a manager outliving
   // the plane must not call into freed memory.
   if (manager_ != nullptr) {
@@ -380,52 +379,20 @@ int ControlPlane::stretch_level(
 
 void ControlPlane::attach_observability(obs::Registry& registry,
                                         std::string prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = std::move(prefix);
-  registry.gauge_fn(obs_prefix_ + ".tuples_seen", [this] {
-    return static_cast<double>(stats_.tuples_seen);
-  });
-  registry.gauge_fn(obs_prefix_ + ".failovers_applied", [this] {
-    return static_cast<double>(stats_.failovers_applied);
-  });
-  registry.gauge_fn(obs_prefix_ + ".failovers_verified", [this] {
-    return static_cast<double>(stats_.failovers_verified);
-  });
-  registry.gauge_fn(obs_prefix_ + ".boosts", [this] {
-    return static_cast<double>(stats_.boosts);
-  });
-  registry.gauge_fn(obs_prefix_ + ".unboosts", [this] {
-    return static_cast<double>(stats_.unboosts);
-  });
-  registry.gauge_fn(obs_prefix_ + ".stretches", [this] {
-    return static_cast<double>(stats_.stretches);
-  });
-  registry.gauge_fn(obs_prefix_ + ".restores", [this] {
-    return static_cast<double>(stats_.restores);
-  });
-  registry.gauge_fn(obs_prefix_ + ".reconfigs_observed", [this] {
-    return static_cast<double>(stats_.reconfigs_observed);
-  });
-  registry.gauge_fn(obs_prefix_ + ".boosted_paths",
-                    [this] { return static_cast<double>(boosted_paths()); });
-  registry.gauge_fn(obs_prefix_ + ".share_ewma",
-                    [this] { return share_ewma_; });
-  registry.gauge_fn(obs_prefix_ + ".window_share",
-                    [this] { return window_share_; });
-  policy_.attach_observability(registry, obs_prefix_ + ".policy");
-}
-
-void ControlPlane::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  policy_.detach_observability();
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
+  obs_ = obs::Scope(registry, std::move(prefix));
+  obs_.gauge_of("tuples_seen", stats_.tuples_seen);
+  obs_.gauge_of("failovers_applied", stats_.failovers_applied);
+  obs_.gauge_of("failovers_verified", stats_.failovers_verified);
+  obs_.gauge_of("boosts", stats_.boosts);
+  obs_.gauge_of("unboosts", stats_.unboosts);
+  obs_.gauge_of("stretches", stats_.stretches);
+  obs_.gauge_of("restores", stats_.restores);
+  obs_.gauge_of("reconfigs_observed", stats_.reconfigs_observed);
+  obs_.gauge_fn("boosted_paths",
+                [this] { return static_cast<double>(boosted_paths()); });
+  obs_.gauge_of("share_ewma", share_ewma_);
+  obs_.gauge_of("window_share", window_share_);
+  policy_.attach_observability(registry, obs_.prefix() + ".policy");
 }
 
 }  // namespace netmon::ctrl

@@ -137,7 +137,6 @@ class ControlPlane {
   // Registers "<prefix>.*" plane counters plus the policy's
   // "<prefix>.policy.*" set; SelfMib rows come along for free.
   void attach_observability(obs::Registry& registry, std::string prefix);
-  void detach_observability();
 
  private:
   struct PathState {
@@ -201,8 +200,7 @@ class ControlPlane {
   ControlStats stats_;
   sim::PeriodicTask tick_task_;
 
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
 };
 
 }  // namespace netmon::ctrl

@@ -15,39 +15,6 @@ const char* to_string(ActuationOutcome outcome) {
   return "?";
 }
 
-ActuationLog::ActuationLog(std::size_t capacity) {
-  ring_.resize(capacity == 0 ? 1 : capacity);
-}
-
-void ActuationLog::append(std::int64_t at_ns, const std::string& rule,
-                          const std::string& target,
-                          const std::string& detail,
-                          ActuationOutcome outcome) {
-  ActuationRecord& slot = ring_[emitted_ % ring_.size()];
-  slot.seq = emitted_;
-  slot.at_ns = at_ns;
-  slot.rule = rule;
-  slot.target = target;
-  slot.detail = detail;
-  slot.outcome = outcome;
-  ++emitted_;
-}
-
-std::vector<ActuationRecord> ActuationLog::records() const {
-  std::vector<ActuationRecord> out;
-  const std::uint64_t n =
-      emitted_ < ring_.size() ? emitted_ : static_cast<std::uint64_t>(ring_.size());
-  out.reserve(n);
-  for (std::uint64_t i = emitted_ - n; i < emitted_; ++i) {
-    out.push_back(ring_[i % ring_.size()]);
-  }
-  return out;
-}
-
-std::uint64_t ActuationLog::dropped() const {
-  return emitted_ > ring_.size() ? emitted_ - ring_.size() : 0;
-}
-
 std::string ActuationLog::to_text(const std::vector<ActuationRecord>& records) {
   std::string out;
   for (const ActuationRecord& r : records) {
@@ -108,7 +75,6 @@ ControlPolicy::ControlPolicy(sim::Simulator& sim, PolicyConfig config)
     : sim_(sim), config_(config), log_(config.log_capacity) {}
 
 ControlPolicy::~ControlPolicy() {
-  detach_observability();
   // Deadline closures capture `this`; cancel them so a simulator outliving
   // the policy cannot fire into freed memory.
   for (auto& [id, p] : pending_) p.deadline.cancel();
@@ -258,9 +224,9 @@ void ControlPolicy::record_failure(RuleId rule, PairState& state) {
     state.breaker_is_open = true;
     state.breaker_open_until = sim_.now() + config_.breaker_open_for;
     ++stats_.breaker_trips;
-    if (obs_registry_ != nullptr) {
-      obs_registry_->emit(sim_.now().nanos(), "ctrl",
-                          rules_[rule].name + ".breaker_open", 1.0);
+    if (obs_.attached()) {
+      obs_.emit(sim_.now().nanos(), "ctrl",
+                rules_[rule].name + ".breaker_open", 1.0);
     }
   }
 }
@@ -272,48 +238,21 @@ void ControlPolicy::note(const std::string& rule, const std::string& target,
 
 void ControlPolicy::attach_observability(obs::Registry& registry,
                                          std::string prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = std::move(prefix);
-  registry.gauge_fn(obs_prefix_ + ".fired",
-                    [this] { return static_cast<double>(stats_.fired); });
-  registry.gauge_fn(obs_prefix_ + ".verified",
-                    [this] { return static_cast<double>(stats_.verified); });
-  registry.gauge_fn(obs_prefix_ + ".failed",
-                    [this] { return static_cast<double>(stats_.failed); });
-  registry.gauge_fn(obs_prefix_ + ".rolled_back", [this] {
-    return static_cast<double>(stats_.rolled_back);
-  });
-  registry.gauge_fn(obs_prefix_ + ".blocked_hold", [this] {
-    return static_cast<double>(stats_.blocked_hold);
-  });
-  registry.gauge_fn(obs_prefix_ + ".blocked_cooldown", [this] {
-    return static_cast<double>(stats_.blocked_cooldown);
-  });
-  registry.gauge_fn(obs_prefix_ + ".blocked_breaker", [this] {
-    return static_cast<double>(stats_.blocked_breaker);
-  });
-  registry.gauge_fn(obs_prefix_ + ".breaker_trips", [this] {
-    return static_cast<double>(stats_.breaker_trips);
-  });
-  registry.gauge_fn(obs_prefix_ + ".report_only_pairs", [this] {
-    return static_cast<double>(report_only_pairs());
-  });
-  registry.gauge_fn(obs_prefix_ + ".pending",
-                    [this] { return static_cast<double>(pending_.size()); });
-  registry.gauge_fn(obs_prefix_ + ".log_emitted",
-                    [this] { return static_cast<double>(log_.emitted()); });
-}
-
-void ControlPolicy::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
+  obs_ = obs::Scope(registry, std::move(prefix));
+  obs_.gauge_of("fired", stats_.fired);
+  obs_.gauge_of("verified", stats_.verified);
+  obs_.gauge_of("failed", stats_.failed);
+  obs_.gauge_of("rolled_back", stats_.rolled_back);
+  obs_.gauge_of("blocked_hold", stats_.blocked_hold);
+  obs_.gauge_of("blocked_cooldown", stats_.blocked_cooldown);
+  obs_.gauge_of("blocked_breaker", stats_.blocked_breaker);
+  obs_.gauge_of("breaker_trips", stats_.breaker_trips);
+  obs_.gauge_fn("report_only_pairs",
+                [this] { return static_cast<double>(report_only_pairs()); });
+  obs_.gauge_fn("pending",
+                [this] { return static_cast<double>(pending_.size()); });
+  obs_.gauge_fn("log_emitted",
+                [this] { return static_cast<double>(log_.emitted()); });
 }
 
 }  // namespace netmon::ctrl

@@ -58,24 +58,30 @@ struct ActuationRecord {
   std::string target;  // human-readable target (a path, request, or app)
   std::string detail;  // action-specific description
   ActuationOutcome outcome = ActuationOutcome::kApplied;
+
+  friend void digest_into(obs::Fnv1a& h, const ActuationRecord& r) {
+    h.u64(r.seq);
+    h.u64(static_cast<std::uint64_t>(r.at_ns));
+    h.str(r.rule);
+    h.str(r.target);
+    h.str(r.detail);
+    h.u64(static_cast<std::uint64_t>(r.outcome));
+  }
 };
 
-// Bounded actuation trace (the TraceSink idiom): a ring of the most recent
-// records plus a total emission count, so a runaway control loop cannot grow
-// memory without bound while tests still see exact totals.
-class ActuationLog {
+// Bounded actuation trace: an obs::EventLog of the most recent records plus
+// exact totals and a digest over every record, so a runaway control loop
+// cannot grow memory without bound while tests still see everything.
+class ActuationLog : public obs::EventLog<ActuationRecord> {
  public:
-  explicit ActuationLog(std::size_t capacity = 1024);
+  explicit ActuationLog(std::size_t capacity = 1024) : EventLog(capacity) {}
 
   void append(std::int64_t at_ns, const std::string& rule,
               const std::string& target, const std::string& detail,
-              ActuationOutcome outcome);
-
-  // Records currently retained, oldest first (at most `capacity`).
-  std::vector<ActuationRecord> records() const;
-  std::uint64_t emitted() const { return emitted_; }
-  std::uint64_t dropped() const;
-  std::size_t capacity() const { return ring_.size(); }
+              ActuationOutcome outcome) {
+    EventLog::append(
+        ActuationRecord{emitted(), at_ns, rule, target, detail, outcome});
+  }
 
   // Deterministic serializations: the same control run yields the identical
   // byte string (fixed field order, no floats, no addresses).
@@ -83,10 +89,6 @@ class ActuationLog {
   static std::string to_json(const std::vector<ActuationRecord>& records);
   std::string export_text() const { return to_text(records()); }
   std::string export_json() const { return to_json(records()); }
-
- private:
-  std::vector<ActuationRecord> ring_;
-  std::uint64_t emitted_ = 0;
 };
 
 struct PolicyConfig {
@@ -175,7 +177,6 @@ class ControlPolicy {
   // Registers "<prefix>.policy.*" lifecycle counters and gauges; breaker
   // trips additionally emit trace events when the registry has a TraceSink.
   void attach_observability(obs::Registry& registry, std::string prefix);
-  void detach_observability();
 
  private:
   struct RuleState {
@@ -217,8 +218,7 @@ class ControlPolicy {
   PolicyStats stats_;
   ActuationLog log_;
 
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
 };
 
 }  // namespace netmon::ctrl

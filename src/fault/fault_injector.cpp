@@ -65,7 +65,7 @@ void FaultInjector::record(const std::string& description) {
         "FaultInjector: fault log timestamp went backwards at \"" +
         description + "\"");
   }
-  log_.push_back(FaultRecord{sim_.now(), description});
+  log_.append(FaultRecord{sim_.now(), description});
 }
 
 void FaultInjector::validate(const FaultAction& action) const {

@@ -4,7 +4,8 @@
 // registered by name (links, segments, hosts, chaos sensors); arm() validates
 // every name up front — a typo throws at arm time instead of silently never
 // firing — then schedules each fault on the simulator. Every applied fault is
-// appended to a timestamped log so chaos runs can be asserted and diffed.
+// appended to a timestamped log so chaos runs can be asserted and diffed;
+// the log is an obs::EventLog holding the newest kLogCapacity records.
 
 #include <cstdint>
 #include <map>
@@ -17,6 +18,7 @@
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/shared_segment.hpp"
+#include "obs/event_log.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -42,8 +44,15 @@ class FaultInjector {
   struct FaultRecord {
     sim::TimePoint at;
     std::string description;
+
+    friend void digest_into(obs::Fnv1a& h, const FaultRecord& r) {
+      h.u64(static_cast<std::uint64_t>(r.at.nanos()));
+      h.str(r.description);
+    }
   };
-  const std::vector<FaultRecord>& log() const { return log_; }
+  static constexpr std::size_t kLogCapacity = 4096;
+  // Retained records, oldest first.
+  std::vector<FaultRecord> log() const { return log_.records(); }
 
   struct Stats {
     std::uint64_t faults_applied = 0;
@@ -88,7 +97,7 @@ class FaultInjector {
   std::map<std::string, net::Host*> hosts_;
   std::map<std::string, ChaosSensor*> sensors_;
   std::map<const net::Medium*, std::shared_ptr<ChaosWindow>> active_windows_;
-  std::vector<FaultRecord> log_;
+  obs::EventLog<FaultRecord> log_{kLogCapacity};
   Stats stats_;
 };
 

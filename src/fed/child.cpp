@@ -13,12 +13,9 @@ namespace {
 // FNV-1a over the zone name: the stable identity half of the backoff jitter
 // key (the attempt number is the varying half).
 std::uint64_t zone_key(const std::string& zone) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : zone) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  obs::Fnv1a h;
+  h.bytes(zone.data(), zone.size());
+  return h.value();
 }
 
 }  // namespace
@@ -61,7 +58,6 @@ void FedChild::stop() {
     conn_->abort();
     conn_.reset();
   }
-  detach_observability();
 }
 
 void FedChild::crash() {
@@ -116,9 +112,16 @@ void FedChild::on_seal(std::uint32_t series, std::size_t tier,
     if (victim->sent && in_flight_ > 0) --in_flight_;
     ++stats_.pages_shed;
     stats_.points_shed += victim->points.size();
-    pending_gaps_[victim->series].push_back(
-        PendingGap{victim->page_seq, victim->page_seq, victim->points.size(),
-                   false});
+    // Pending gaps stay sorted by seq, which pump()'s merge walk relies on.
+    // A victim can sort below a gap already pending: a later unsent page
+    // is shed while this one is in flight, then the session drops and
+    // this one becomes the oldest unsent page.
+    std::vector<PendingGap>& gaps = pending_gaps_[victim->series];
+    const auto at = std::upper_bound(
+        gaps.begin(), gaps.end(), victim->page_seq,
+        [](std::uint64_t seq, const PendingGap& g) { return seq < g.from_seq; });
+    gaps.insert(at, PendingGap{victim->page_seq, victim->page_seq,
+                               victim->points.size(), false});
     log_.append(sim_.now(), "shed series=" + std::to_string(victim->series) +
                                 " seq=" + std::to_string(victim->page_seq) +
                                 " points=" +
@@ -372,56 +375,25 @@ std::uint64_t FedChild::watermark_lag_pages() const {
 
 void FedChild::attach_observability(obs::Registry& registry,
                                     const std::string& prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = prefix;
-  registry.gauge_fn(prefix + ".spool.pages",
-                    [this] { return static_cast<double>(spool_.size()); });
-  registry.gauge_fn(prefix + ".spool.points", [this] {
+  obs_ = obs::Scope(registry, prefix);
+  obs_.gauge_fn("spool.pages",
+                [this] { return static_cast<double>(spool_.size()); });
+  obs_.gauge_fn("spool.points", [this] {
     std::uint64_t points = 0;
     for (const SpooledPage& p : spool_) points += p.points.size();
     return static_cast<double>(points);
   });
-  registry.gauge_fn(prefix + ".watermark_lag_pages", [this] {
-    return static_cast<double>(watermark_lag_pages());
-  });
-  registry.gauge_fn(prefix + ".session_up",
-                    [this] { return session_up_ ? 1.0 : 0.0; });
-  registry.gauge_fn(prefix + ".incarnation", [this] {
-    return static_cast<double>(incarnation_);
-  });
-  registry.gauge_fn(prefix + ".pages_spooled", [this] {
-    return static_cast<double>(stats_.pages_spooled);
-  });
-  registry.gauge_fn(prefix + ".pages_shed", [this] {
-    return static_cast<double>(stats_.pages_shed);
-  });
-  registry.gauge_fn(prefix + ".pages_sent", [this] {
-    return static_cast<double>(stats_.pages_sent);
-  });
-  registry.gauge_fn(prefix + ".pages_acked", [this] {
-    return static_cast<double>(stats_.pages_acked);
-  });
-  registry.gauge_fn(prefix + ".deltas_sent", [this] {
-    return static_cast<double>(stats_.deltas_sent);
-  });
-  registry.gauge_fn(prefix + ".gap_reports", [this] {
-    return static_cast<double>(stats_.gap_reports);
-  });
-  registry.gauge_fn(prefix + ".sessions", [this] {
-    return static_cast<double>(stats_.sessions);
-  });
-}
-
-void FedChild::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
+  obs_.gauge_fn("watermark_lag_pages",
+                [this] { return static_cast<double>(watermark_lag_pages()); });
+  obs_.gauge_of("session_up", session_up_);
+  obs_.gauge_of("incarnation", incarnation_);
+  obs_.gauge_of("pages_spooled", stats_.pages_spooled);
+  obs_.gauge_of("pages_shed", stats_.pages_shed);
+  obs_.gauge_of("pages_sent", stats_.pages_sent);
+  obs_.gauge_of("pages_acked", stats_.pages_acked);
+  obs_.gauge_of("deltas_sent", stats_.deltas_sent);
+  obs_.gauge_of("gap_reports", stats_.gap_reports);
+  obs_.gauge_of("sessions", stats_.sessions);
 }
 
 }  // namespace netmon::fed

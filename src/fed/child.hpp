@@ -109,7 +109,6 @@ class FedChild {
   // plus counters mirroring Stats into the registry (and thus the SelfMib).
   void attach_observability(obs::Registry& registry,
                             const std::string& prefix = "fed.child");
-  void detach_observability();
 
  private:
   struct SpooledPage {
@@ -170,8 +169,7 @@ class FedChild {
   sim::EventHandle retry_timer_;
   sim::EventHandle heartbeat_timer_;
 
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
 };
 
 }  // namespace netmon::fed

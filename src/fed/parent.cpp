@@ -34,7 +34,6 @@ void FedParent::stop() {
   }
   sessions_.clear();
   for (auto& [name, zone] : zones_) zone.session = nullptr;
-  detach_observability();
 }
 
 void FedParent::on_accept(std::shared_ptr<net::TcpConnection> conn) {
@@ -317,50 +316,18 @@ std::uint64_t FedParent::zone_points_lost(const std::string& zone) const {
 
 void FedParent::attach_observability(obs::Registry& registry,
                                      const std::string& prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = prefix;
-  registry.gauge_fn(prefix + ".sessions", [this] {
-    return static_cast<double>(stats_.sessions);
-  });
-  registry.gauge_fn(prefix + ".resumes", [this] {
-    return static_cast<double>(stats_.resumes);
-  });
-  registry.gauge_fn(prefix + ".series_declared", [this] {
-    return static_cast<double>(stats_.series_declared);
-  });
-  registry.gauge_fn(prefix + ".pages_merged", [this] {
-    return static_cast<double>(stats_.pages_merged);
-  });
-  registry.gauge_fn(prefix + ".points_merged", [this] {
-    return static_cast<double>(stats_.points_merged);
-  });
-  registry.gauge_fn(prefix + ".duplicates_skipped", [this] {
-    return static_cast<double>(stats_.duplicates_skipped);
-  });
-  registry.gauge_fn(prefix + ".deltas_applied", [this] {
-    return static_cast<double>(stats_.deltas_applied);
-  });
-  registry.gauge_fn(prefix + ".points_lost", [this] {
-    return static_cast<double>(stats_.points_lost);
-  });
-  registry.gauge_fn(prefix + ".protocol_errors", [this] {
-    return static_cast<double>(stats_.protocol_errors);
-  });
-  registry.gauge_fn(prefix + ".live_sessions", [this] {
-    return static_cast<double>(sessions_.size());
-  });
-}
-
-void FedParent::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
+  obs_ = obs::Scope(registry, prefix);
+  obs_.gauge_of("sessions", stats_.sessions);
+  obs_.gauge_of("resumes", stats_.resumes);
+  obs_.gauge_of("series_declared", stats_.series_declared);
+  obs_.gauge_of("pages_merged", stats_.pages_merged);
+  obs_.gauge_of("points_merged", stats_.points_merged);
+  obs_.gauge_of("duplicates_skipped", stats_.duplicates_skipped);
+  obs_.gauge_of("deltas_applied", stats_.deltas_applied);
+  obs_.gauge_of("points_lost", stats_.points_lost);
+  obs_.gauge_of("protocol_errors", stats_.protocol_errors);
+  obs_.gauge_fn("live_sessions",
+                [this] { return static_cast<double>(sessions_.size()); });
 }
 
 }  // namespace netmon::fed

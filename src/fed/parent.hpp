@@ -105,7 +105,6 @@ class FedParent {
   // "<prefix>.*" gauges mirroring Stats plus per-zone staleness.
   void attach_observability(obs::Registry& registry,
                             const std::string& prefix = "fed.parent");
-  void detach_observability();
 
  private:
   struct Session {
@@ -154,8 +153,7 @@ class FedParent {
   ReplicationLog log_;
   PageHook page_hook_;
 
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
 };
 
 }  // namespace netmon::fed

@@ -89,36 +89,17 @@ void Link::try_transmit(int dir) {
   });
 }
 
-Link::~Link() { detach_observability(); }
-
 void Link::attach_observability(obs::Registry& registry,
                                 const std::string& prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = prefix;
-  registry.gauge_fn(prefix + ".octets_carried", [this] {
-    return static_cast<double>(octets_carried_);
-  });
-  registry.gauge_fn(prefix + ".frames_dropped_down", [this] {
-    return static_cast<double>(frames_dropped_down_);
-  });
-  registry.gauge_fn(prefix + ".up", [this] { return up_ ? 1.0 : 0.0; });
+  obs_ = obs::Scope(registry, prefix);
+  obs_.gauge_of("octets_carried", octets_carried_);
+  obs_.gauge_of("frames_dropped_down", frames_dropped_down_);
+  obs_.gauge_of("up", up_);
   for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
-    registry.gauge_fn(
-        prefix + ".octets." + to_string(static_cast<TrafficClass>(c)),
-        [this, c] { return static_cast<double>(octets_by_class_[c]); });
+    const std::string name =
+        std::string("octets.") + to_string(static_cast<TrafficClass>(c));
+    obs_.gauge_of(name, octets_by_class_[c]);
   }
-}
-
-void Link::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
 }
 
 }  // namespace netmon::net

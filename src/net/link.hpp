@@ -19,6 +19,8 @@ class Link : public Medium {
  public:
   Link(sim::Simulator& sim, std::string name, double bandwidth_bps,
        sim::Duration propagation_delay);
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   void attach(Nic* nic) override;
   void on_frame_queued(Nic& nic) override;
@@ -44,11 +46,9 @@ class Link : public Medium {
   // Self-observability (DESIGN.md §10): per-class carried-octet gauges plus
   // drop counters under "<prefix>." (callback gauges over counters the link
   // already maintains — zero transmit-path cost). Detached by default;
-  // removed again on detach/destruction.
+  // removed again on re-attach/destruction.
   void attach_observability(obs::Registry& registry,
                             const std::string& prefix);
-  void detach_observability();
-  ~Link();
 
  private:
   int direction_of(const Nic& nic) const;
@@ -65,8 +65,7 @@ class Link : public Medium {
   std::uint64_t octets_carried_ = 0;
   std::uint64_t frames_dropped_down_ = 0;
   std::array<std::uint64_t, kTrafficClassCount> octets_by_class_{};
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
 };
 
 }  // namespace netmon::net

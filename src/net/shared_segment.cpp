@@ -156,45 +156,19 @@ double SharedSegment::utilization(sim::TimePoint now) const {
          static_cast<double>(now.nanos());
 }
 
-SharedSegment::~SharedSegment() { detach_observability(); }
-
 void SharedSegment::attach_observability(obs::Registry& registry,
                                          const std::string& prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = prefix;
-  registry.gauge_fn(prefix + ".frames_carried", [this] {
-    return static_cast<double>(stats_.frames_carried);
-  });
-  registry.gauge_fn(prefix + ".octets_carried", [this] {
-    return static_cast<double>(stats_.octets_carried);
-  });
-  registry.gauge_fn(prefix + ".collisions", [this] {
-    return static_cast<double>(stats_.collisions);
-  });
-  registry.gauge_fn(prefix + ".excessive_collision_drops", [this] {
-    return static_cast<double>(stats_.excessive_collision_drops);
-  });
-  registry.gauge_fn(prefix + ".utilization",
-                    [this] { return utilization(sim_.now()); });
+  obs_ = obs::Scope(registry, prefix);
+  obs_.gauge_of("frames_carried", stats_.frames_carried);
+  obs_.gauge_of("octets_carried", stats_.octets_carried);
+  obs_.gauge_of("collisions", stats_.collisions);
+  obs_.gauge_of("excessive_collision_drops", stats_.excessive_collision_drops);
+  obs_.gauge_fn("utilization", [this] { return utilization(sim_.now()); });
   for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
-    registry.gauge_fn(
-        prefix + ".octets." + to_string(static_cast<TrafficClass>(c)),
-        [this, c] {
-          return static_cast<double>(stats_.octets_by_class[c]);
-        });
+    const std::string name =
+        std::string("octets.") + to_string(static_cast<TrafficClass>(c));
+    obs_.gauge_of(name, stats_.octets_by_class[c]);
   }
-}
-
-void SharedSegment::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
 }
 
 }  // namespace netmon::net

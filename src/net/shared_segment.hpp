@@ -32,6 +32,8 @@ class SharedSegment : public Medium {
  public:
   SharedSegment(sim::Simulator& sim, util::Rng rng, std::string name,
                 double bandwidth_bps, sim::Duration propagation_delay);
+  SharedSegment(const SharedSegment&) = delete;
+  SharedSegment& operator=(const SharedSegment&) = delete;
 
   void attach(Nic* nic) override;
   void on_frame_queued(Nic& nic) override;
@@ -55,8 +57,6 @@ class SharedSegment : public Medium {
   // "<prefix>.". No cost on the contention path.
   void attach_observability(obs::Registry& registry,
                             const std::string& prefix);
-  void detach_observability();
-  ~SharedSegment();
 
  private:
   bool medium_busy() const;
@@ -77,8 +77,7 @@ class SharedSegment : public Medium {
   std::unordered_map<Nic*, int> attempts_;
   std::unordered_map<Nic*, sim::TimePoint> backoff_until_;
   SegmentStats stats_;
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
 };
 
 }  // namespace netmon::net

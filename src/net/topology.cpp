@@ -403,22 +403,16 @@ std::uint64_t Network::total_octets() const {
 
 void Network::attach_observability(obs::Registry& registry,
                                    const std::string& prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = prefix;
+  obs_ = obs::Scope(registry, prefix);
   for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
-    registry.gauge_fn(
-        prefix + ".octets." + to_string(static_cast<TrafficClass>(c)),
-        [this, c] { return static_cast<double>(octets_by_class()[c]); });
+    const std::string name =
+        std::string("octets.") + to_string(static_cast<TrafficClass>(c));
+    obs_.gauge_fn(name, [this, c] {
+      return static_cast<double>(octets_by_class()[c]);
+    });
   }
-  registry.gauge_fn(prefix + ".total_octets", [this] {
-    return static_cast<double>(total_octets());
-  });
+  obs_.gauge_fn("total_octets",
+                [this] { return static_cast<double>(total_octets()); });
   for (const auto& link : links_) {
     link->attach_observability(registry, prefix + ".link." + link->name());
   }
@@ -426,14 +420,6 @@ void Network::attach_observability(obs::Registry& registry,
     segment->attach_observability(registry,
                                   prefix + ".segment." + segment->name());
   }
-}
-
-void Network::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  for (const auto& link : links_) link->detach_observability();
-  for (const auto& segment : segments_) segment->detach_observability();
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
 }
 
 }  // namespace netmon::net

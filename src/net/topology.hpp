@@ -121,8 +121,6 @@ class Network {
   // topology is built; media added later are not auto-covered.
   void attach_observability(obs::Registry& registry,
                             const std::string& prefix = "net");
-  void detach_observability();
-  ~Network() { detach_observability(); }
 
  private:
   void register_nic(Nic& nic);
@@ -139,8 +137,7 @@ class Network {
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::unordered_map<IpAddr, Nic*> ip_to_nic_;
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
 };
 
 }  // namespace netmon::net

@@ -6,34 +6,23 @@ IntrusivenessMeter::IntrusivenessMeter(sim::Simulator& sim,
                                        const net::Network& network,
                                        Registry& registry, std::string prefix,
                                        sim::Duration tick)
-    : network_(network),
-      registry_(registry),
-      prefix_(std::move(prefix)),
-      tick_(tick) {
+    : network_(network), obs_(registry, std::move(prefix)), tick_(tick) {
   const auto totals = network_.octets_by_class();
   for (std::size_t c = 0; c < net::kTrafficClassCount; ++c) {
     Lane& lane = lanes_[c];
     lane.first = lane.last = totals[c];
     const auto cls = static_cast<net::TrafficClass>(c);
-    const std::string base = prefix_ + "." + net::to_string(cls);
-    registry_.gauge_fn(base + ".peak_bps",
-                       [this, c] { return lanes_[c].peak_bps; });
-    registry_.gauge_fn(base + ".mean_bps",
-                       [this, cls = static_cast<net::TrafficClass>(c)] {
-                         return mean_bps(cls);
-                       });
-    registry_.gauge_fn(base + ".total_bytes",
-                       [this, cls = static_cast<net::TrafficClass>(c)] {
-                         return static_cast<double>(total_bytes(cls));
-                       });
-    lane.bps_hist = &registry_.histogram(base + ".bps");
+    const std::string base = net::to_string(cls);
+    obs_.gauge_of(base + ".peak_bps", lane.peak_bps);
+    obs_.gauge_fn(base + ".mean_bps", [this, cls] { return mean_bps(cls); });
+    obs_.gauge_fn(base + ".total_bytes", [this, cls] {
+      return static_cast<double>(total_bytes(cls));
+    });
+    lane.bps_hist = obs_.histogram(base + ".bps");
   }
-  registry_.gauge_fn(prefix_ + ".monitoring_share",
-                     [this] { return monitoring_share(); });
+  obs_.gauge_fn("monitoring_share", [this] { return monitoring_share(); });
   task_ = sim::PeriodicTask(sim, tick_, [this] { sample(); });
 }
-
-IntrusivenessMeter::~IntrusivenessMeter() { registry_.remove_prefix(prefix_); }
 
 double IntrusivenessMeter::mean_bps(net::TrafficClass cls) const {
   const Lane& lane = lanes_[index(cls)];
@@ -71,7 +60,7 @@ void IntrusivenessMeter::sample() {
     lane.last_bps = bps;
     if (bps > lane.peak_bps) lane.peak_bps = bps;
     lane.sum_bps += bps;
-    lane.bps_hist->observe(bps);
+    if (lane.bps_hist != nullptr) lane.bps_hist->observe(bps);
   }
   ++samples_;
 }

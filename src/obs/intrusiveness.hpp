@@ -34,7 +34,6 @@ class IntrusivenessMeter {
                      sim::Duration tick = sim::Duration::ms(100));
   IntrusivenessMeter(const IntrusivenessMeter&) = delete;
   IntrusivenessMeter& operator=(const IntrusivenessMeter&) = delete;
-  ~IntrusivenessMeter();
 
   double peak_bps(net::TrafficClass cls) const {
     return lanes_[index(cls)].peak_bps;
@@ -58,7 +57,7 @@ class IntrusivenessMeter {
     double peak_bps = 0.0;
     double last_bps = 0.0;
     double sum_bps = 0.0;
-    Histogram* bps_hist = nullptr;  // owned by the registry
+    Histogram* bps_hist = nullptr;  // owned by the registry; null detached
   };
 
   static std::size_t index(net::TrafficClass cls) {
@@ -67,8 +66,7 @@ class IntrusivenessMeter {
   void sample();
 
   const net::Network& network_;
-  Registry& registry_;
-  std::string prefix_;
+  Scope obs_;
   sim::Duration tick_;
   std::array<Lane, net::kTrafficClassCount> lanes_{};
   std::uint64_t samples_ = 0;

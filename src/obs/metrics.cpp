@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace netmon::obs {
 namespace {
@@ -43,34 +44,6 @@ std::string json_escape(const std::string& in) {
 }
 
 }  // namespace
-
-TraceSink::TraceSink(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity) {}
-
-void TraceSink::emit(std::int64_t at_ns, std::string category,
-                     std::string name, double value) {
-  TraceEvent& slot = ring_[emitted_ % ring_.size()];
-  slot.at_ns = at_ns;
-  slot.category = std::move(category);
-  slot.name = std::move(name);
-  slot.value = value;
-  ++emitted_;
-}
-
-std::vector<TraceEvent> TraceSink::events() const {
-  std::vector<TraceEvent> out;
-  const std::uint64_t n = std::min<std::uint64_t>(emitted_, ring_.size());
-  out.reserve(n);
-  const std::uint64_t first = emitted_ - n;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(first + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::uint64_t TraceSink::dropped() const {
-  return emitted_ > ring_.size() ? emitted_ - ring_.size() : 0;
-}
 
 void Registry::check_unique(const std::string& name, const char* kind) const {
   auto clash = [&](bool same_kind, const char* table) {
@@ -137,6 +110,62 @@ void Registry::remove_prefix(const std::string& prefix) {
   erase_prefix(gauges_, prefix);
   erase_prefix(gauge_fns_, prefix);
   erase_prefix(histograms_, prefix);
+}
+
+Scope::Scope(Registry& registry, std::string prefix) {
+  if constexpr (!obs::kCompiledIn) {
+    (void)registry;
+    (void)prefix;
+    return;
+  }
+  registry_ = &registry;
+  alive_ = registry.alive_;
+  prefix_ = std::move(prefix);
+}
+
+Scope::Scope(Scope&& other) noexcept
+    : registry_(std::exchange(other.registry_, nullptr)),
+      alive_(std::move(other.alive_)),
+      prefix_(std::move(other.prefix_)) {}
+
+Scope& Scope::operator=(Scope&& other) noexcept {
+  if (this != &other) {
+    release();
+    registry_ = std::exchange(other.registry_, nullptr);
+    alive_ = std::move(other.alive_);
+    prefix_ = std::move(other.prefix_);
+  }
+  return *this;
+}
+
+void Scope::release() {
+  if (attached()) registry_->remove_prefix(prefix_ + ".");
+  registry_ = nullptr;
+  alive_.reset();
+}
+
+Counter* Scope::counter(const std::string& suffix) const {
+  return attached() ? &registry_->counter(prefix_ + "." + suffix) : nullptr;
+}
+
+Gauge* Scope::gauge(const std::string& suffix) const {
+  return attached() ? &registry_->gauge(prefix_ + "." + suffix) : nullptr;
+}
+
+Histogram* Scope::histogram(const std::string& suffix) const {
+  return attached() ? &registry_->histogram(prefix_ + "." + suffix) : nullptr;
+}
+
+void Scope::gauge_fn(const std::string& suffix,
+                     std::function<double()> fn) const {
+  if (attached()) registry_->gauge_fn(prefix_ + "." + suffix, std::move(fn));
+}
+
+void Scope::emit(std::int64_t at_ns, std::string category, std::string name,
+                 double value) const {
+  if (attached()) {
+    registry_->emit(at_ns, std::move(category), std::move(name), value);
+  }
 }
 
 bool Registry::contains(const std::string& name) const {

@@ -29,9 +29,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/event_log.hpp"
 #include "obs/quantile.hpp"
 
 namespace netmon::obs {
@@ -70,32 +72,23 @@ class Histogram {
 
 // One structured trace event: a timestamped (category, name, value) triple
 // emitted by an instrumented component (breaker transitions, timeouts,
-// escalations...). Stored in a bounded ring so a chaos soak cannot grow
+// escalations...). Stored in a bounded EventLog so a chaos soak cannot grow
 // without bound.
 struct TraceEvent {
   std::int64_t at_ns = 0;
   std::string category;
   std::string name;
   double value = 0.0;
+
+  friend void digest_into(Fnv1a& h, const TraceEvent& e) {
+    h.u64(static_cast<std::uint64_t>(e.at_ns));
+    h.str(e.category);
+    h.str(e.name);
+    h.f64(e.value);
+  }
 };
 
-class TraceSink {
- public:
-  explicit TraceSink(std::size_t capacity = 4096);
-
-  void emit(std::int64_t at_ns, std::string category, std::string name,
-            double value);
-
-  // Events currently retained, oldest first (at most `capacity`).
-  std::vector<TraceEvent> events() const;
-  std::uint64_t emitted() const { return emitted_; }
-  std::uint64_t dropped() const;
-  std::size_t capacity() const { return ring_.size(); }
-
- private:
-  std::vector<TraceEvent> ring_;
-  std::uint64_t emitted_ = 0;
-};
+using TraceSink = EventLog<TraceEvent>;
 
 // One exported metric, as captured by Registry::snapshot().
 struct SnapshotEntry {
@@ -120,6 +113,11 @@ struct SnapshotEntry {
 // export order is name-sorted, hence deterministic.
 class Registry {
  public:
+  Registry() = default;
+  // Scopes hold this registry's address, so it has a fixed identity.
+  Registry(const Registry&) = delete;
+  Registry& operator=(const Registry&) = delete;
+
   // Get-or-create. Throws std::logic_error if `name` already names a
   // metric of a different kind.
   Counter& counter(const std::string& name);
@@ -130,12 +128,10 @@ class Registry {
   // Re-registering a name replaces the callback.
   void gauge_fn(const std::string& name, std::function<double()> fn);
 
-  // Removes every metric whose name starts with `prefix`. Components
-  // register under a unique prefix and detach with this on destruction, so
-  // a registry may safely outlive what it observed. The reverse is not
-  // safe: a component still attached when the registry dies will detach
-  // against freed memory — declare the registry before (destroy it after)
-  // everything attach_observability'd to it.
+  // Removes every metric whose name starts with `prefix`. Components do
+  // not call this themselves: their obs::Scope does, on destruction or
+  // re-attach, and only while the registry is still alive — so a registry
+  // and the components attached to it may be destroyed in either order.
   void remove_prefix(const std::string& prefix);
 
   bool contains(const std::string& name) const;
@@ -147,7 +143,8 @@ class Registry {
   void emit(std::int64_t at_ns, std::string category, std::string name,
             double value) {
     if (trace_ != nullptr) {
-      trace_->emit(at_ns, std::move(category), std::move(name), value);
+      trace_->append(
+          TraceEvent{at_ns, std::move(category), std::move(name), value});
     }
   }
 
@@ -182,6 +179,59 @@ class Registry {
   std::map<std::string, std::function<double()>> gauge_fns_;
   std::map<std::string, Histogram> histograms_;
   TraceSink* trace_ = nullptr;
+  // Liveness token: Scopes watch it weakly and skip their removal once the
+  // registry is gone.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
+
+  friend class Scope;
+};
+
+// A component's attachment to a Registry: the one way to attach
+// observability (DESIGN.md §10). It registers metrics as
+// "<prefix>.<suffix>" and, on destruction or when a new Scope is moved
+// over it, removes "<prefix>.*" again — but only if the registry is still
+// alive, so neither side has to outlive the other. A default-constructed
+// Scope is detached, and with observability compiled out every Scope is:
+// registrations return null handles and gauge_fn/emit do nothing, so
+// components need no compile-out branch of their own.
+//
+// Hot paths keep the raw handles counter()/histogram() return and
+// null-check them; the registry owns what they point to.
+class Scope {
+ public:
+  Scope() = default;
+  Scope(Registry& registry, std::string prefix);
+  Scope(Scope&& other) noexcept;
+  Scope& operator=(Scope&& other) noexcept;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+  ~Scope() { release(); }
+
+  // True while attached to a registry that is still alive.
+  bool attached() const { return registry_ != nullptr && !alive_.expired(); }
+  const std::string& prefix() const { return prefix_; }
+
+  // Get-or-create "<prefix>.<suffix>"; null while detached.
+  Counter* counter(const std::string& suffix) const;
+  Gauge* gauge(const std::string& suffix) const;
+  Histogram* histogram(const std::string& suffix) const;
+  void gauge_fn(const std::string& suffix, std::function<double()> fn) const;
+  // gauge_fn reading a value the component already maintains (a stats
+  // field, a size); the value must live as long as this Scope.
+  template <typename T>
+  void gauge_of(const std::string& suffix, const T& value) const {
+    gauge_fn(suffix, [&value] { return static_cast<double>(value); });
+  }
+  // Forwards to Registry::emit while attached.
+  void emit(std::int64_t at_ns, std::string category, std::string name,
+            double value) const;
+
+ private:
+  void release();
+
+  Registry* registry_ = nullptr;
+  std::weak_ptr<const bool> alive_;
+  std::string prefix_;
 };
 
 }  // namespace netmon::obs

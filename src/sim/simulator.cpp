@@ -207,33 +207,14 @@ void Simulator::detach_logger() {
 
 void Simulator::attach_observability(obs::Registry& registry,
                                      const std::string& prefix) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)registry;
-    (void)prefix;
-    return;
-  }
-  detach_observability();
-  obs_registry_ = &registry;
-  obs_prefix_ = prefix;
-  obs_schedules_ = &registry.counter(prefix + ".schedules");
-  obs_horizon_ = &registry.histogram(prefix + ".schedule_horizon_ns");
-  obs_depth_ = &registry.histogram(prefix + ".queue_depth");
-  registry.gauge_fn(prefix + ".events_executed",
-                    [this] { return static_cast<double>(executed_); });
-  registry.gauge_fn(prefix + ".pending_events", [this] {
-    return static_cast<double>(pending_events());
-  });
-  registry.gauge_fn(prefix + ".now_seconds",
-                    [this] { return now_.to_seconds(); });
-}
-
-void Simulator::detach_observability() {
-  if (obs_registry_ == nullptr) return;
-  obs_registry_->remove_prefix(obs_prefix_);
-  obs_registry_ = nullptr;
-  obs_schedules_ = nullptr;
-  obs_horizon_ = nullptr;
-  obs_depth_ = nullptr;
+  obs_ = obs::Scope(registry, prefix);
+  obs_schedules_ = obs_.counter("schedules");
+  obs_horizon_ = obs_.histogram("schedule_horizon_ns");
+  obs_depth_ = obs_.histogram("queue_depth");
+  obs_.gauge_of("events_executed", executed_);
+  obs_.gauge_fn("pending_events",
+                [this] { return static_cast<double>(pending_events()); });
+  obs_.gauge_fn("now_seconds", [this] { return now_.to_seconds(); });
 }
 
 }  // namespace netmon::sim

@@ -181,10 +181,7 @@ class EventHandle {
 class Simulator {
  public:
   Simulator() : core_(std::make_shared<detail::EventCore>()) {}
-  ~Simulator() {
-    detach_observability();
-    core_->shutdown();
-  }
+  ~Simulator() { core_->shutdown(); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -223,10 +220,10 @@ class Simulator {
   // gauge_fns for events_executed / pending_events / now. Purely passive:
   // attaching never schedules events, so event order — and the event-core
   // golden trace — is unchanged. Detached (default) the hot path pays one
-  // null check; with NETMON_OBS_ENABLED=0 it pays nothing.
+  // null check; with NETMON_OBS_ENABLED=0 it pays nothing. Re-attaching
+  // moves the metrics; destruction removes them.
   void attach_observability(obs::Registry& registry,
                             const std::string& prefix = "sim");
-  void detach_observability();
 
  private:
   // 1-in-64 sampling keeps histogram updates off the schedule fast path:
@@ -286,8 +283,7 @@ class Simulator {
   std::int64_t batch_at_ = 0;
 
   // Observability handles (null while detached; owned by the registry).
-  obs::Registry* obs_registry_ = nullptr;
-  std::string obs_prefix_;
+  obs::Scope obs_;
   obs::Counter* obs_schedules_ = nullptr;
   obs::Histogram* obs_horizon_ = nullptr;
   obs::Histogram* obs_depth_ = nullptr;

@@ -141,6 +141,8 @@ struct ScenarioResult {
   PolicyStats pstats;
   std::string actuation_log_text;
   std::string actuation_log_json;
+  // Digest over every actuation record ever appended, dropped ones too.
+  std::uint64_t actuation_log_digest = 0;
   std::string obs_json;
   // Per-path count of applied route-failover actuations.
   std::map<std::string, int> failovers_per_path;
@@ -215,6 +217,7 @@ ScenarioResult run_failover_scenario(const fault::FaultPlan& plan,
   result.pstats = plane.policy().stats();
   result.actuation_log_text = plane.policy().log().export_text();
   result.actuation_log_json = plane.policy().log().export_json();
+  result.actuation_log_digest = plane.policy().log().digest();
   result.obs_json = registry.export_json();
 
   const std::int64_t fault_ns = fault_at.nanos();
@@ -328,6 +331,7 @@ TEST(ControlScenario, CrashAndRestartActuationLogIsDeterministic) {
   // Same seed ⇒ bit-identical actuation history, both serializations.
   EXPECT_EQ(a.actuation_log_text, b.actuation_log_text);
   EXPECT_EQ(a.actuation_log_json, b.actuation_log_json);
+  EXPECT_EQ(a.actuation_log_digest, b.actuation_log_digest);
   EXPECT_EQ(a.ttr_s, b.ttr_s);
   assert_zero_oscillation(a);
 

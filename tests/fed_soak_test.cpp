@@ -255,7 +255,16 @@ TEST(FedSoak, TwoZoneFabricSurvivesPartitionAndCrash) {
 
 // A reduced same-seed scenario with traffic, a partition window, and a
 // crash/restart; both replication logs must be bit-identical across runs.
-std::pair<std::string, std::string> run_replay_scenario(std::uint64_t seed) {
+// Both replication logs of one run: retained text plus the digest over every
+// line ever appended, so a bounded log checks no less than a full one.
+struct ReplayLogs {
+  std::string child;
+  std::string parent;
+  std::uint64_t child_digest = 0;
+  std::uint64_t parent_digest = 0;
+};
+
+ReplayLogs run_replay_scenario(std::uint64_t seed) {
   sim::Simulator sim;
   net::Network network(sim, util::Rng(seed));
   net::Host& parent_host = network.add_host("parent");
@@ -304,16 +313,19 @@ std::pair<std::string, std::string> run_replay_scenario(std::uint64_t seed) {
   sim.schedule_at(TimePoint::from_nanos(Duration::sec(30).nanos()),
                   [&] { driver.cancel(); });
   sim.run_until(TimePoint::from_nanos(Duration::sec(60).nanos()));
-  return {child.log().export_text(), parent.log().export_text()};
+  return {child.log().export_text(), parent.log().export_text(),
+          child.log().digest(), parent.log().digest()};
 }
 
 TEST(FedSoak, SameSeedRunsReplayBitIdenticalLogs) {
-  const auto first = run_replay_scenario(99);
-  const auto second = run_replay_scenario(99);
-  EXPECT_FALSE(first.first.empty());
-  EXPECT_FALSE(first.second.empty());
-  EXPECT_EQ(first.first, second.first);
-  EXPECT_EQ(first.second, second.second);
+  const ReplayLogs first = run_replay_scenario(99);
+  const ReplayLogs second = run_replay_scenario(99);
+  EXPECT_FALSE(first.child.empty());
+  EXPECT_FALSE(first.parent.empty());
+  EXPECT_EQ(first.child, second.child);
+  EXPECT_EQ(first.parent, second.parent);
+  EXPECT_EQ(first.child_digest, second.child_digest);
+  EXPECT_EQ(first.parent_digest, second.parent_digest);
 }
 
 }  // namespace

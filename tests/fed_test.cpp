@@ -600,6 +600,51 @@ TEST_F(FedFixture, SpoolOverflowShedsOldestAndAccountsEveryPoint) {
   EXPECT_EQ(child.spool_pages(), 0u);
 }
 
+// Regression: shed pages must be reported in seq order. With a send window
+// smaller than the spool, a later unsent page is shed while earlier pages
+// are in flight; once the session drops, those earlier pages become the
+// oldest unsent ones and are shed too — below the gap already pending. A
+// gap list kept in shed order made pump() report gap 3 before gap 1, the
+// parent then skipped gap 1 as already covered, and points went missing.
+TEST_F(FedFixture, GapsShedOutOfSeqOrderAreReportedInOrder) {
+  FedParent parent(*parent_host, parent_db, {});
+  FedChildConfig cfg = child_config();
+  cfg.spool_max_pages = 4;
+  cfg.window_pages = 2;
+  FedChild child(*child_host, child_db, cfg);
+  parent.start();
+  child.start();
+  sim.run_for(Duration::ms(500));
+  ASSERT_TRUE(child.session_established());
+
+  // Partition the parent. Pages 1-2 go in flight (the window), 3-4 wait;
+  // sealing 5 and 6 sheds the oldest unsent pages, 3 and 4.
+  set_host_nics(*parent_host, false);
+  const Path path = app_path();
+  record_samples(path, 48, Duration::ms(10));
+  EXPECT_EQ(child.stats().pages_shed, 2u);
+
+  // The ack timeout drops the session: pages 1-2 are no longer in flight,
+  // so sealing 7 and 8 sheds them — below the pending gaps 3 and 4.
+  sim.run_for(Duration::sec(6));
+  EXPECT_FALSE(child.session_established());
+  record_samples(path, 16, Duration::ms(10));
+  EXPECT_EQ(child.stats().pages_spooled, 8u);
+  EXPECT_EQ(child.stats().pages_shed, 4u);
+
+  set_host_nics(*parent_host, true);
+  sim.run_for(Duration::sec(120));
+  ASSERT_TRUE(child.session_established());
+  EXPECT_EQ(parent.stats().implicit_gap_pages, 0u);
+  EXPECT_EQ(parent.stats().gaps_applied, 4u);
+  EXPECT_EQ(parent.stats().points_lost, 32u);
+  EXPECT_EQ(parent.stats().points_merged, 32u);
+  EXPECT_EQ(parent.stats().points_merged + parent.stats().points_lost,
+            child.stats().points_spooled);
+  EXPECT_EQ(merged_count(path), 32u);
+  EXPECT_EQ(child.spool_pages(), 0u);
+}
+
 TEST_F(FedFixture, CrashRestartReplaysOnlyUnackedPages) {
   FedParent parent(*parent_host, parent_db, {});
   FedChild child(*child_host, child_db, child_config());
@@ -684,9 +729,18 @@ TEST_F(FedFixture, SilentZoneGoesStaleAndRefusesReads) {
   EXPECT_TRUE(parent.zone_stale("never-heard-of-it", sim.now()));
 }
 
+// Both replication logs of one run: retained text plus the digest over every
+// line ever appended, so a bounded log checks no less than a full one.
+struct ScenarioLogs {
+  std::string child;
+  std::string parent;
+  std::uint64_t child_digest = 0;
+  std::uint64_t parent_digest = 0;
+};
+
 // A fixed scenario with traffic, a partition window, and recovery; returns
 // both replication logs for determinism comparison.
-std::pair<std::string, std::string> run_scenario(std::uint64_t seed) {
+ScenarioLogs run_scenario(std::uint64_t seed) {
   sim::Simulator sim;
   net::Network network(sim, util::Rng(seed));
   net::Host& parent_host = network.add_host("parent");
@@ -719,41 +773,44 @@ std::pair<std::string, std::string> run_scenario(std::uint64_t seed) {
   sim.run_for(Duration::sec(5));
   for (const auto& nic : parent_host.nics()) nic->set_up(true);
   sim.run_for(Duration::sec(30));
-  return {child.log().export_text(), parent.log().export_text()};
+  return {child.log().export_text(), parent.log().export_text(),
+          child.log().digest(), parent.log().digest()};
 }
 
 TEST(FedDeterminism, SameSeedProducesBitIdenticalReplicationLogs) {
-  const auto first = run_scenario(21);
-  const auto second = run_scenario(21);
-  EXPECT_FALSE(first.first.empty());
-  EXPECT_FALSE(first.second.empty());
-  EXPECT_EQ(first.first, second.first);    // child log
-  EXPECT_EQ(first.second, second.second);  // parent log
+  const ScenarioLogs first = run_scenario(21);
+  const ScenarioLogs second = run_scenario(21);
+  EXPECT_FALSE(first.child.empty());
+  EXPECT_FALSE(first.parent.empty());
+  EXPECT_EQ(first.child, second.child);
+  EXPECT_EQ(first.parent, second.parent);
+  EXPECT_EQ(first.child_digest, second.child_digest);
+  EXPECT_EQ(first.parent_digest, second.parent_digest);
 }
 
 TEST_F(FedFixture, ObservabilityExportsFederationGauges) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   obs::Registry registry;
-  FedParent parent(*parent_host, parent_db, {});
-  FedChild child(*child_host, child_db, child_config());
-  parent.attach_observability(registry);
-  child.attach_observability(registry);
-  parent.start();
-  child.start();
-  record_samples(app_path(), 16, Duration::ms(50));
-  sim.run_for(Duration::sec(2));
+  {
+    FedParent parent(*parent_host, parent_db, {});
+    FedChild child(*child_host, child_db, child_config());
+    parent.attach_observability(registry);
+    child.attach_observability(registry);
+    parent.start();
+    child.start();
+    record_samples(app_path(), 16, Duration::ms(50));
+    sim.run_for(Duration::sec(2));
 
-  EXPECT_TRUE(registry.contains("fed.child.spool.pages"));
-  EXPECT_TRUE(registry.contains("fed.child.watermark_lag_pages"));
-  EXPECT_TRUE(registry.contains("fed.child.session_up"));
-  EXPECT_TRUE(registry.contains("fed.parent.pages_merged"));
-  EXPECT_TRUE(registry.contains("fed.parent.points_lost"));
-  const std::string json = registry.export_json();
-  EXPECT_NE(json.find("fed.child.pages_spooled"), std::string::npos);
-  EXPECT_NE(json.find("fed.parent.sessions"), std::string::npos);
-
-  child.detach_observability();
-  parent.detach_observability();
+    EXPECT_TRUE(registry.contains("fed.child.spool.pages"));
+    EXPECT_TRUE(registry.contains("fed.child.watermark_lag_pages"));
+    EXPECT_TRUE(registry.contains("fed.child.session_up"));
+    EXPECT_TRUE(registry.contains("fed.parent.pages_merged"));
+    EXPECT_TRUE(registry.contains("fed.parent.points_lost"));
+    const std::string json = registry.export_json();
+    EXPECT_NE(json.find("fed.child.pages_spooled"), std::string::npos);
+    EXPECT_NE(json.find("fed.parent.sessions"), std::string::npos);
+  }
+  // Child and parent ended with the block; their Scopes removed them.
   EXPECT_FALSE(registry.contains("fed.child.spool.pages"));
   EXPECT_FALSE(registry.contains("fed.parent.pages_merged"));
 }

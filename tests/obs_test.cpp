@@ -1,8 +1,9 @@
 // Tests for the self-observability layer: P² streaming-quantile accuracy
 // against exact quantiles on seeded streams, registry snapshot determinism
-// (same seed ⇒ byte-identical export), the trace ring, the self-MIB group,
-// and — most importantly — the passivity guarantee: attaching a registry to
-// the simulator leaves the event-core golden trace hash unchanged.
+// (same seed ⇒ byte-identical export), the event log, Scope attachment, the
+// self-MIB group, and — most importantly — the passivity guarantee:
+// attaching a registry to the simulator leaves the event-core golden trace
+// hash unchanged.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "core/lane_scheduler.hpp"
 #include "core/measurement_db.hpp"
+#include "core/sensor_director.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quantile.hpp"
 #include "obs/self_mib.hpp"
@@ -221,16 +223,18 @@ TEST(Registry, ExportFormatsContainEveryMetric) {
 TEST(TraceSink, BoundedRingKeepsNewestAndCountsDrops) {
   TraceSink sink(4);
   for (int i = 0; i < 10; ++i) {
-    sink.emit(i, "cat", "ev" + std::to_string(i), i * 1.0);
+    sink.append(TraceEvent{i, "cat", "ev" + std::to_string(i), i * 1.0});
   }
   EXPECT_EQ(sink.emitted(), 10u);
   EXPECT_EQ(sink.dropped(), 6u);
-  const auto events = sink.events();
+  EXPECT_EQ(sink.capacity(), 4u);
+  const auto events = sink.records();
   ASSERT_EQ(events.size(), 4u);
   // Oldest-first among the retained tail.
   EXPECT_EQ(events.front().name, "ev6");
   EXPECT_EQ(events.back().name, "ev9");
   EXPECT_EQ(events.back().at_ns, 9);
+  EXPECT_EQ(sink.back().name, "ev9");
 }
 
 TEST(TraceSink, RegistryForwardsOnlyWhenAttached) {
@@ -242,7 +246,37 @@ TEST(TraceSink, RegistryForwardsOnlyWhenAttached) {
   reg.set_trace(nullptr);
   reg.emit(3, "cat", "dropped-again", 2.0);
   ASSERT_EQ(sink.emitted(), 1u);
-  EXPECT_EQ(sink.events().front().name, "kept");
+  EXPECT_EQ(sink.records().front().name, "kept");
+}
+
+// The digest folds in every appended record, dropped ones included: two
+// logs with the same retained tail but different history digest apart, and
+// the same history digests alike whatever the capacity.
+TEST(EventLog, DigestCoversDroppedRecords) {
+  auto fill = [](TraceSink& log, const std::string& first) {
+    log.append(TraceEvent{0, "cat", first, 0.0});
+    for (int i = 1; i < 6; ++i) {
+      log.append(TraceEvent{i, "cat", "ev" + std::to_string(i), 1.0 * i});
+    }
+  };
+  TraceSink a(2), b(2), wide(64);
+  fill(a, "ev0");
+  fill(b, "other");
+  fill(wide, "ev0");
+  ASSERT_EQ(a.dropped(), 4u);
+  ASSERT_EQ(wide.dropped(), 0u);
+  // Same retained records ...
+  ASSERT_EQ(a.records().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(a.records()[i].name, b.records()[i].name);
+    EXPECT_EQ(a.records()[i].at_ns, b.records()[i].at_ns);
+  }
+  // ... but the dropped first record differs, and the digest sees it.
+  EXPECT_NE(a.digest(), b.digest());
+  EXPECT_EQ(a.digest(), wide.digest());
+  // A fresh log digests to the FNV-1a offset basis.
+  EXPECT_EQ(TraceSink(1).digest(), 1469598103934665603ull);
+  EXPECT_TRUE(TraceSink(1).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -323,18 +357,59 @@ TEST(Passivity, SimulatorDetachesOnDestruction) {
   EXPECT_EQ(reg.size(), 0u);  // registry safely outlives the simulator
 }
 
-TEST(Passivity, RuntimeDetachStopsUpdatesCompiledInOrNot) {
+// A registry destroyed while components are still attached. The director's
+// Scope nests over its sequencer's and database's; every one of them must
+// skip its removal once the registry is gone (under the sanitize preset a
+// slip is a heap-use-after-free).
+TEST(Passivity, RegistryDestroyedBeforeAttachedComponents) {
+  auto sim = std::make_unique<sim::Simulator>();
+  auto director = std::make_unique<core::SensorDirector>(*sim);
+  auto reg = std::make_unique<Registry>();
+  sim->attach_observability(*reg, "sim");
+  director->attach_observability(*reg, "director");
+  if constexpr (kCompiledIn) {
+    EXPECT_TRUE(reg->contains("sim.schedules"));
+    EXPECT_TRUE(reg->contains("director.sequencer.in_flight"));
+    EXPECT_TRUE(reg->contains("director.db.records_written"));
+  }
+  sim->schedule_in(sim::Duration::ms(1), [] {});
+  sim->run();
+  reg.reset();
+  director.reset();
+  sim.reset();
+}
+
+TEST(Scope, ReattachMovesMetricsAndScopesNeverOverreach) {
+  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
-  sim::Simulator s;
-  s.attach_observability(reg);
-  s.schedule_in(sim::Duration::ms(1), [] {});
-  s.run();
-  s.detach_observability();
-  EXPECT_EQ(reg.size(), 0u);
-  // Scheduling after detach must not touch the (removed) metrics.
-  s.schedule_in(sim::Duration::ms(1), [] {});
-  s.run();
-  EXPECT_EQ(reg.size(), 0u);
+  reg.counter("simx.unrelated");  // shares "sim" but not "sim."
+  {
+    sim::Simulator s;
+    s.attach_observability(reg, "sim");
+    EXPECT_TRUE(reg.contains("sim.schedules"));
+    s.attach_observability(reg, "sim2");
+    EXPECT_FALSE(reg.contains("sim.schedules"));
+    EXPECT_TRUE(reg.contains("sim2.schedules"));
+    s.attach_observability(reg, "sim2");  // same prefix: still registered
+    // Updates land on the new handles, never the removed ones.
+    s.schedule_in(sim::Duration::ms(1), [] {});
+    s.run();
+    EXPECT_EQ(reg.counter("sim2.schedules").value(), 1u);
+    EXPECT_FALSE(reg.contains("sim.schedules"));
+  }
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_TRUE(reg.contains("simx.unrelated"));
+
+  Scope detached;
+  EXPECT_FALSE(detached.attached());
+  EXPECT_EQ(detached.counter("x"), nullptr);
+  Scope moved_from(reg, "m");
+  moved_from.counter("c")->inc();
+  Scope owner(std::move(moved_from));
+  EXPECT_FALSE(moved_from.attached());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(owner.attached());
+  owner = Scope();
+  EXPECT_FALSE(reg.contains("m.c"));
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +473,7 @@ TEST(RetentionHorizons, PublishedPerSeriesAndVisibleInSelfMib) {
   storage.page_points = 8;
   storage.rollup_factor = 4;
   storage.tiers = 2;
-  Registry reg;  // must outlive db: ~MeasurementDatabase detaches from it
+  Registry reg;
   core::MeasurementDatabase db(16, storage);
   const core::Path path(
       core::ProcessEndpoint{"s", net::IpAddr(10, 9, 0, 1), 1},
@@ -448,7 +523,7 @@ TEST(RetentionHorizons, DisabledTiersReadMinusOne) {
   if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   core::TieredStorageConfig storage;
   storage.enabled = false;
-  Registry reg;  // must outlive db: ~MeasurementDatabase detaches from it
+  Registry reg;
   core::MeasurementDatabase db(16, storage);
   const core::Path path(
       core::ProcessEndpoint{"s", net::IpAddr(10, 9, 1, 1), 1},
@@ -476,72 +551,74 @@ TEST(SchedulerWakeupGauges, PublishedInRegistryAndSelfMib) {
   core::SchedulerConfig cfg;
   cfg.lanes = 3;
   cfg.link_disjoint = true;
-  core::LaneScheduler sched(cfg);
   Registry reg;
-  sched.attach_observability(reg, "seq");
+  {
+    core::LaneScheduler sched(cfg);
+    sched.attach_observability(reg, "seq");
 
-  // Holders on a trunk and a side link, two waiters queued on the trunk.
-  // Freeing the trunk wakes only its lowest-seq waiter (1 wake test); that
-  // waiter blocks on the side link — 1 futile wakeup — and its baton wakes
-  // the next trunk waiter (2nd wake test), which admits.
-  const core::LinkKey trunk = 42;
-  const core::LinkKey side = 7;
-  std::vector<core::LaneScheduler::Done> running;
-  auto submit = [&](std::vector<core::LinkKey> footprint) {
-    core::ProbeProfile p;
-    p.footprint = std::move(footprint);
-    sched.enqueue(
-        [&running](core::LaneScheduler::Done done) {
-          running.push_back(std::move(done));
-        },
-        p);
-  };
-  submit({trunk});        // holder A
-  submit({side});         // holder B
-  submit({trunk, side});  // W1: woken by the trunk, re-parks on side
-  submit({trunk});        // W2: admitted via W1's baton
-  ASSERT_EQ(running.size(), 2u);
-  EXPECT_EQ(sched.parked_on_links(), 2u);
-  auto done = std::move(running.front());  // holder A: frees the trunk
-  running.erase(running.begin());
-  done();
-
-  EXPECT_EQ(sched.scheduler_stats().wake_tests, 2u);
-  EXPECT_EQ(sched.scheduler_stats().futile_wakeups, 1u);
-
-  ASSERT_TRUE(reg.contains("seq.wake_tests"));
-  ASSERT_TRUE(reg.contains("seq.futile_wakeups"));
-  ASSERT_TRUE(reg.contains("seq.parked_links"));
-  ASSERT_TRUE(reg.contains("seq.parked_budget"));
-  double wake = -1.0, futile = -1.0, parked = -1.0;
-  for (const auto& entry : reg.snapshot()) {
-    if (entry.name == "seq.wake_tests") wake = entry.value;
-    if (entry.name == "seq.futile_wakeups") futile = entry.value;
-    if (entry.name == "seq.parked_links") parked = entry.value;
-  }
-  EXPECT_DOUBLE_EQ(wake, 2.0);
-  EXPECT_DOUBLE_EQ(futile, 1.0);
-  EXPECT_DOUBLE_EQ(parked, 1.0);
-
-  // Visible through the SelfMib gauge table by name, like any self-metric.
-  snmp::MibTree mib;
-  SelfMib self(mib, reg);
-  bool wake_row = false, futile_row = false;
-  for (const auto& bind : mib.walk(self.base())) {
-    if (bind.value == snmp::SnmpValue("seq.wake_tests")) wake_row = true;
-    if (bind.value == snmp::SnmpValue("seq.futile_wakeups")) futile_row = true;
-  }
-  EXPECT_TRUE(wake_row);
-  EXPECT_TRUE(futile_row);
-
-  while (!running.empty()) {
-    auto d = std::move(running.front());
+    // Holders on a trunk and a side link, two waiters queued on the trunk.
+    // Freeing the trunk wakes only its lowest-seq waiter (1 wake test); that
+    // waiter blocks on the side link — 1 futile wakeup — and its baton wakes
+    // the next trunk waiter (2nd wake test), which admits.
+    const core::LinkKey trunk = 42;
+    const core::LinkKey side = 7;
+    std::vector<core::LaneScheduler::Done> running;
+    auto submit = [&](std::vector<core::LinkKey> footprint) {
+      core::ProbeProfile p;
+      p.footprint = std::move(footprint);
+      sched.enqueue(
+          [&running](core::LaneScheduler::Done done) {
+            running.push_back(std::move(done));
+          },
+          p);
+    };
+    submit({trunk});        // holder A
+    submit({side});         // holder B
+    submit({trunk, side});  // W1: woken by the trunk, re-parks on side
+    submit({trunk});        // W2: admitted via W1's baton
+    ASSERT_EQ(running.size(), 2u);
+    EXPECT_EQ(sched.parked_on_links(), 2u);
+    auto done = std::move(running.front());  // holder A: frees the trunk
     running.erase(running.begin());
-    d();
+    done();
+
+    EXPECT_EQ(sched.scheduler_stats().wake_tests, 2u);
+    EXPECT_EQ(sched.scheduler_stats().futile_wakeups, 1u);
+
+    ASSERT_TRUE(reg.contains("seq.wake_tests"));
+    ASSERT_TRUE(reg.contains("seq.futile_wakeups"));
+    ASSERT_TRUE(reg.contains("seq.parked_links"));
+    ASSERT_TRUE(reg.contains("seq.parked_budget"));
+    double wake = -1.0, futile = -1.0, parked = -1.0;
+    for (const auto& entry : reg.snapshot()) {
+      if (entry.name == "seq.wake_tests") wake = entry.value;
+      if (entry.name == "seq.futile_wakeups") futile = entry.value;
+      if (entry.name == "seq.parked_links") parked = entry.value;
+    }
+    EXPECT_DOUBLE_EQ(wake, 2.0);
+    EXPECT_DOUBLE_EQ(futile, 1.0);
+    EXPECT_DOUBLE_EQ(parked, 1.0);
+
+    // Visible through the SelfMib gauge table by name, like any self-metric.
+    snmp::MibTree mib;
+    SelfMib self(mib, reg);
+    bool wake_row = false, futile_row = false;
+    for (const auto& bind : mib.walk(self.base())) {
+      if (bind.value == snmp::SnmpValue("seq.wake_tests")) wake_row = true;
+      if (bind.value == snmp::SnmpValue("seq.futile_wakeups")) futile_row = true;
+    }
+    EXPECT_TRUE(wake_row);
+    EXPECT_TRUE(futile_row);
+
+    while (!running.empty()) {
+      auto d = std::move(running.front());
+      running.erase(running.begin());
+      d();
+    }
+    EXPECT_TRUE(sched.idle());
+    sched.check_consistency();
   }
-  EXPECT_TRUE(sched.idle());
-  sched.check_consistency();
-  sched.detach_observability();
+  // The scheduler's lifetime ended with the block; its Scope removed it.
   EXPECT_FALSE(reg.contains("seq.wake_tests"));
 }
 

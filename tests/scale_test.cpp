@@ -227,12 +227,20 @@ TEST(ScaleSoak, HundredThousandPathAdmissionStaysIndexed) {
                       apps::FabricTestbed::SweepOrder::kStriped);
   ASSERT_EQ(requests.size(), 100'000u);
 
+  // Route profiling and the scheduler drain are timed apart, so the
+  // admission rate measures admissions and not route lookups.
   const auto wall0 = std::chrono::steady_clock::now();
-  std::deque<core::LaneScheduler::Done> running;
+  std::vector<core::ProbeProfile> profiles;
+  profiles.reserve(requests.size());
   for (const core::PathRequest& req : requests) {
     core::ProbeProfile profile =
         profiler(req.path, core::Metric::kThroughput);
     profile.priority = req.priority;
+    profiles.push_back(std::move(profile));
+  }
+  const auto wall1 = std::chrono::steady_clock::now();
+  std::deque<core::LaneScheduler::Done> running;
+  for (core::ProbeProfile& profile : profiles) {
     sched.enqueue(
         [&running](core::LaneScheduler::Done done) {
           running.push_back(std::move(done));
@@ -257,10 +265,10 @@ TEST(ScaleSoak, HundredThousandPathAdmissionStaysIndexed) {
     running.pop_front();
     done();
   }
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall0)
-          .count();
+  const auto wall2 = std::chrono::steady_clock::now();
+  using Ms = std::chrono::duration<double, std::milli>;
+  const double profile_ms = Ms(wall1 - wall0).count();
+  const double drain_ms = Ms(wall2 - wall1).count();
 
   sched.check_consistency();
   EXPECT_TRUE(sched.idle());
@@ -278,7 +286,7 @@ TEST(ScaleSoak, HundredThousandPathAdmissionStaysIndexed) {
       << naive_scan_bound;
 
   const double admissions_per_sec =
-      wall_ms > 0.0 ? 100'000.0 / (wall_ms / 1000.0) : 0.0;
+      drain_ms > 0.0 ? 100'000.0 / (drain_ms / 1000.0) : 0.0;
   std::ofstream out("scale-admission-snapshot.json");
   out << "{\n\"paths\": 100000"
       << ",\n\"admitted\": " << stats.admitted
@@ -290,7 +298,8 @@ TEST(ScaleSoak, HundredThousandPathAdmissionStaysIndexed) {
       << ",\n\"wake_share_of_naive\": "
       << (static_cast<double>(stats.wake_tests) /
           static_cast<double>(naive_scan_bound))
-      << ",\n\"wall_ms\": " << wall_ms
+      << ",\n\"profile_ms\": " << profile_ms
+      << ",\n\"drain_ms\": " << drain_ms
       << ",\n\"admissions_per_sec\": " << admissions_per_sec
       << ",\n\"obs\": " << registry.export_json() << "\n}\n";
   ASSERT_TRUE(out.good());

@@ -105,8 +105,6 @@ RunResult run_scenario(const fault::FaultPlan& plan) {
   options.clients = kClients;
   apps::Testbed bed(sim, options);
 
-  // The registry must outlive everything attached to it (components detach
-  // themselves in their destructors).
   obs::Registry registry;
   core::HighFidelityMonitor monitor(bed.network(), monitor_config(1));
   monitor.director().attach_observability(registry, "hfm");
