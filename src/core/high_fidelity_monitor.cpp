@@ -122,8 +122,10 @@ SensorDirector::ProbeProfiler make_route_profiler(
     auto it = cache->find(path);
     if (it == cache->end()) {
       PathFootprint fp;
+      // One route walk per direction; returns that direction's hop count.
       auto add_direction = [&fp, &network](net::IpAddr a, net::IpAddr b) {
-        for (const net::Medium* medium : network.route_media(a, b)) {
+        const net::Network::RouteTrace trace = network.trace_route(a, b);
+        for (const net::Medium* medium : trace.media) {
           const auto key = static_cast<LinkKey>(
               reinterpret_cast<std::uintptr_t>(medium));
           if (std::find(fp.keys.begin(), fp.keys.end(), key) ==
@@ -131,6 +133,7 @@ SensorDirector::ProbeProfiler make_route_profiler(
             fp.keys.push_back(key);
           }
         }
+        return trace.hops;
       };
       // Legs are measured sequentially, so the concurrent load is the worst
       // single leg's. octets_by_class() charges the burst once per L3 hop
@@ -139,9 +142,8 @@ SensorDirector::ProbeProfiler make_route_profiler(
       // by the data direction's hop count.
       for (std::size_t leg = 0; leg < path.leg_count(); ++leg) {
         auto [from, to] = path.leg(leg);
-        add_direction(from.host, to.host);
+        const std::size_t hops = add_direction(from.host, to.host);
         add_direction(to.host, from.host);
-        const std::size_t hops = network.route_hops(from.host, to.host);
         fp.hop_multiplier =
             std::max(fp.hop_multiplier, static_cast<double>(hops));
       }

@@ -6,6 +6,7 @@
 // routes exist between two hosts, information may flow in one direction but
 // not in the other").
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,8 +33,13 @@ class RoutingTable {
   void clear() {
     routes_.clear();
     standby_.clear();
+    dirty_ = true;
   }
 
+  // Longest-prefix match: one hash probe per distinct prefix length in the
+  // table, longest first. The index behind it is rebuilt by the first
+  // lookup after a mutation (DESIGN.md §11), so lookup() is const but not
+  // safe to call concurrently with itself.
   std::optional<Route> lookup(IpAddr dst) const;
   std::size_t size() const { return routes_.size(); }
   const std::vector<Route>& routes() const { return routes_; }
@@ -56,8 +62,23 @@ class RoutingTable {
   const std::vector<Route>& standby_routes() const { return standby_; }
 
  private:
+  // One open-addressing slot: key (network << 6 | length) -> the index in
+  // routes_ of the last route with exactly that prefix.
+  struct Slot {
+    std::uint64_t key;
+    std::uint32_t route;
+  };
+
+  void rebuild_index() const;
+
+  // Source of truth, in insertion order.
   std::vector<Route> routes_;
   std::vector<Route> standby_;
+  // Lazy longest-prefix-match index over routes_; valid while !dirty_.
+  mutable std::vector<Slot> slots_;
+  mutable std::uint64_t lengths_ = 0;  // bit L set: some route is a /L
+  mutable int shift_ = 64;             // 64 - log2(slots_.size())
+  mutable bool dirty_ = false;
 };
 
 }  // namespace netmon::net

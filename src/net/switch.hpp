@@ -26,7 +26,6 @@ class Switch {
 
   const std::string& name() const { return name_; }
 
-  Nic& add_port(std::size_t tx_queue_capacity = 128);
   const std::vector<std::unique_ptr<Nic>>& ports() const { return ports_; }
 
   // Static provisioning (Network::auto_route fills tables from the
@@ -47,6 +46,11 @@ class Switch {
   std::uint64_t frames_flooded() const { return frames_flooded_; }
 
  private:
+  // Ports are added only through Network::attach/connect, which index
+  // each one's owner for route_media and prime_switch_tables.
+  friend class Network;
+  Nic& add_port(std::size_t tx_queue_capacity = 128);
+
   void handle_frame(Nic& in_port, const Frame& frame);
   void emit(Nic& out_port, const Frame& frame);
 

@@ -49,12 +49,19 @@ Switch& Network::add_switch(const std::string& name,
   return *switches_.back();
 }
 
-void Network::register_nic(Nic& nic) {
+void Network::register_nic(Node& node, Nic& nic) {
   if (nic.ip().is_unspecified()) return;
-  auto [it, inserted] = ip_to_nic_.emplace(nic.ip(), &nic);
+  auto [it, inserted] = endpoints_.emplace(
+      nic.ip(), Endpoint{&nic, dynamic_cast<Host*>(&node)});
   if (!inserted) {
     throw std::logic_error("Network: duplicate IP " + nic.ip().to_string());
   }
+}
+
+Nic& Network::add_port(Switch& sw) {
+  Nic& port = sw.add_port();
+  port_owner_.emplace(&port, &sw);
+  return port;
 }
 
 Nic& Network::attach(Node& node, SharedSegment& segment, IpAddr ip,
@@ -62,7 +69,7 @@ Nic& Network::attach(Node& node, SharedSegment& segment, IpAddr ip,
   Nic& nic = node.add_nic(tx_queue);
   nic.assign_ip(ip, prefix_len);
   segment.attach(&nic);
-  register_nic(nic);
+  register_nic(node, nic);
   return nic;
 }
 
@@ -71,13 +78,13 @@ Nic& Network::attach(Node& node, Switch& sw, IpAddr ip, int prefix_len,
                      std::size_t tx_queue) {
   Nic& nic = node.add_nic(tx_queue);
   nic.assign_ip(ip, prefix_len);
-  Nic& port = sw.add_port();
+  Nic& port = add_port(sw);
   links_.push_back(std::make_unique<Link>(
       sim_, node.name() + "<->" + sw.name(), bandwidth_bps, propagation));
   Link& link = *links_.back();
   link.attach(&nic);
   link.attach(&port);
-  register_nic(nic);
+  register_nic(node, nic);
   return nic;
 }
 
@@ -95,15 +102,15 @@ std::pair<Nic*, Nic*> Network::connect(Node& a, IpAddr ip_a, Node& b,
   Link& link = *links_.back();
   link.attach(&na);
   link.attach(&nb);
-  register_nic(na);
-  register_nic(nb);
+  register_nic(a, na);
+  register_nic(b, nb);
   return {&na, &nb};
 }
 
 void Network::connect(Switch& a, Switch& b, double bandwidth_bps,
                       sim::Duration propagation) {
-  Nic& pa = a.add_port();
-  Nic& pb = b.add_port();
+  Nic& pa = add_port(a);
+  Nic& pb = add_port(b);
   links_.push_back(std::make_unique<Link>(
       sim_, a.name() + "<->" + b.name(), bandwidth_bps, propagation));
   Link& link = *links_.back();
@@ -112,14 +119,14 @@ void Network::connect(Switch& a, Switch& b, double bandwidth_bps,
 }
 
 std::optional<MacAddr> Network::mac_of(IpAddr ip) const {
-  auto it = ip_to_nic_.find(ip);
-  if (it == ip_to_nic_.end()) return std::nullopt;
-  return it->second->mac();
+  auto it = endpoints_.find(ip);
+  if (it == endpoints_.end()) return std::nullopt;
+  return it->second.nic->mac();
 }
 
 Nic* Network::nic_of(IpAddr ip) const {
-  auto it = ip_to_nic_.find(ip);
-  return it == ip_to_nic_.end() ? nullptr : it->second;
+  auto it = endpoints_.find(ip);
+  return it == endpoints_.end() ? nullptr : it->second.nic;
 }
 
 Host* Network::find_host(const std::string& name) const {
@@ -130,10 +137,8 @@ Host* Network::find_host(const std::string& name) const {
 }
 
 Host* Network::host_of(IpAddr ip) const {
-  for (const auto& h : hosts_) {
-    if (h->owns_ip(ip)) return h.get();
-  }
-  return nullptr;
+  auto it = endpoints_.find(ip);
+  return it == endpoints_.end() ? nullptr : it->second.host;
 }
 
 namespace {
@@ -264,20 +269,15 @@ void Network::auto_route() {
   }
 }
 
-std::vector<const Medium*> Network::route_media(IpAddr src, IpAddr dst) const {
-  std::vector<const Medium*> media;
-  auto push_unique = [&media](const Medium* m) {
+std::size_t Network::walk_route(IpAddr src, IpAddr dst,
+                               std::vector<const Medium*>* media) const {
+  auto push_unique = [media](const Medium* m) {
     if (m == nullptr) return;
-    for (const Medium* seen : media) {
+    for (const Medium* seen : *media) {
       if (seen == m) return;
     }
-    media.push_back(m);
+    media->push_back(m);
   };
-
-  std::unordered_map<const Nic*, Switch*> port_owner;
-  for (const auto& sw : switches_) {
-    for (const auto& port : sw->ports()) port_owner[port.get()] = sw.get();
-  }
 
   // Follow one L3 hop at the L2 layer: from the egress nic, across every
   // switch that forwards toward the hop target's MAC, until the medium the
@@ -296,8 +296,8 @@ std::vector<const Medium*> Network::route_media(IpAddr src, IpAddr dst) const {
           arrived = true;
           break;
         }
-        auto owner = port_owner.find(nic);
-        if (owner == port_owner.end() || next != nullptr) continue;
+        auto owner = port_owner_.find(nic);
+        if (owner == port_owner_.end() || next != nullptr) continue;
         Nic* out = owner->second->port_for(target->mac());
         // out == nic would bounce the frame back where it came from — a
         // stale table, not a path; treat as unreachable through here.
@@ -308,24 +308,6 @@ std::vector<const Medium*> Network::route_media(IpAddr src, IpAddr dst) const {
     }
   };
 
-  const Host* cur = host_of(src);
-  for (int hops = 0; hops < 32 && cur != nullptr && !cur->owns_ip(dst);
-       ++hops) {
-    const auto route = cur->routing().lookup(dst);
-    if (!route || route->out == nullptr) break;
-    const IpAddr hop_ip =
-        route->gateway.is_unspecified() ? dst : route->gateway;
-    const Nic* hop_nic = nic_of(hop_ip);
-    if (hop_nic == nullptr) break;
-    walk_l2(route->out, hop_nic);
-    const Host* next = host_of(hop_ip);
-    if (next == cur) break;
-    cur = next;
-  }
-  return media;
-}
-
-std::size_t Network::route_hops(IpAddr src, IpAddr dst) const {
   std::size_t count = 0;
   const Host* cur = host_of(src);
   for (int hops = 0; hops < 32 && cur != nullptr && !cur->owns_ip(dst);
@@ -335,11 +317,28 @@ std::size_t Network::route_hops(IpAddr src, IpAddr dst) const {
     ++count;
     const IpAddr hop_ip =
         route->gateway.is_unspecified() ? dst : route->gateway;
-    const Host* next = host_of(hop_ip);
-    if (next == nullptr || next == cur) break;
+    auto hop = endpoints_.find(hop_ip);
+    if (hop == endpoints_.end()) break;
+    if (media != nullptr) walk_l2(route->out, hop->second.nic);
+    const Host* next = hop->second.host;
+    if (next == cur) break;
     cur = next;
   }
   return count;
+}
+
+std::vector<const Medium*> Network::route_media(IpAddr src, IpAddr dst) const {
+  return trace_route(src, dst).media;
+}
+
+std::size_t Network::route_hops(IpAddr src, IpAddr dst) const {
+  return walk_route(src, dst, nullptr);
+}
+
+Network::RouteTrace Network::trace_route(IpAddr src, IpAddr dst) const {
+  RouteTrace trace;
+  trace.hops = walk_route(src, dst, &trace.media);
+  return trace;
 }
 
 std::array<std::uint64_t, kTrafficClassCount> Network::octets_by_class()
@@ -359,11 +358,6 @@ std::array<std::uint64_t, kTrafficClassCount> Network::octets_by_class()
 }
 
 void Network::prime_switch_tables() {
-  std::unordered_map<const Nic*, Switch*> port_owner;
-  for (const auto& sw : switches_) {
-    for (const auto& port : sw->ports()) port_owner[port.get()] = sw.get();
-  }
-
   for (const auto& sw : switches_) {
     for (const auto& port : sw->ports()) {
       Medium* start = port->medium();
@@ -377,8 +371,8 @@ void Network::prime_switch_tables() {
         queue.pop_front();
         for (Nic* nic : medium->attached_nics()) {
           if (nic == port.get()) continue;
-          auto owner = port_owner.find(nic);
-          if (owner == port_owner.end()) {
+          auto owner = port_owner_.find(nic);
+          if (owner == port_owner_.end()) {
             sw->learn(nic->mac(), *port);  // end station
             continue;
           }

@@ -109,6 +109,13 @@ class Network {
   // to octets_by_class(), which charges every L3 egress.
   std::size_t route_hops(IpAddr src, IpAddr dst) const;
 
+  // route_media and route_hops from one walk of the route.
+  struct RouteTrace {
+    std::vector<const Medium*> media;
+    std::size_t hops = 0;
+  };
+  RouteTrace trace_route(IpAddr src, IpAddr dst) const;
+
   // Wire load by traffic class, counted once per L3 hop (egress of hosts
   // and routers; L2 replication inside switches is not double-counted) —
   // the intrusiveness measure of §4.4.
@@ -123,7 +130,20 @@ class Network {
                             const std::string& prefix = "net");
 
  private:
-  void register_nic(Nic& nic);
+  // What one assigned address resolves to.
+  struct Endpoint {
+    Nic* nic;
+    Host* host;
+  };
+
+  void register_nic(Node& node, Nic& nic);
+  // The only way a switch gains a port, so port_owner_ covers every port.
+  Nic& add_port(Switch& sw);
+  // Follows the routing tables hop by hop from `src` toward `dst` and
+  // returns the L3 hop count; appends the media crossed to `media` unless
+  // it is null.
+  std::size_t walk_route(IpAddr src, IpAddr dst,
+                         std::vector<const Medium*>* media) const;
   // L2 domain id per medium (segments + links merged through switches).
   std::unordered_map<const Medium*, int> compute_l2_domains() const;
 
@@ -136,7 +156,10 @@ class Network {
   std::vector<std::unique_ptr<SharedSegment>> segments_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Switch>> switches_;
-  std::unordered_map<IpAddr, Nic*> ip_to_nic_;
+  // Both indices are filled as the topology is built (attach/connect) and
+  // never rebuilt: nodes, ports and addresses are never removed.
+  std::unordered_map<IpAddr, Endpoint> endpoints_;
+  std::unordered_map<const Nic*, Switch*> port_owner_;
   obs::Scope obs_;
 };
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <unordered_map>
 
+#include "apps/fabric.hpp"
+#include "apps/testbed.hpp"
 #include "apps/traffic.hpp"
 #include "net/topology.hpp"
 #include "net/udp.hpp"
@@ -547,6 +552,198 @@ TEST(Topology, FindHelpers) {
   EXPECT_EQ(network.host_of(IpAddr(10, 0, 0, 99)), nullptr);
   EXPECT_TRUE(network.mac_of(IpAddr(10, 0, 0, 1)).has_value());
   EXPECT_FALSE(network.mac_of(IpAddr(10, 0, 0, 99)).has_value());
+}
+
+// --- topology indices against a brute-force reference --------------------
+
+// Network's lookups recomputed the slow way: a linear host scan, a linear
+// longest-prefix scan of each routing table, and a switch-port map rebuilt
+// on every route walk.
+class BruteForceTopology {
+ public:
+  explicit BruteForceTopology(const Network& network) : network_(network) {}
+
+  Host* host_of(IpAddr ip) const {
+    for (const auto& h : network_.hosts()) {
+      if (h->owns_ip(ip)) return h.get();
+    }
+    return nullptr;
+  }
+
+  Nic* nic_of(IpAddr ip) const {
+    if (ip.is_unspecified()) return nullptr;
+    for (const auto& h : network_.hosts()) {
+      for (const auto& nic : h->nics()) {
+        if (nic->ip() == ip) return nic.get();
+      }
+    }
+    return nullptr;
+  }
+
+  static std::optional<Route> lookup(const RoutingTable& table, IpAddr dst) {
+    std::optional<Route> best;
+    for (const Route& r : table.routes()) {
+      if (r.prefix.contains(dst) &&
+          (!best || r.prefix.length() >= best->prefix.length())) {
+        best = r;
+      }
+    }
+    return best;
+  }
+
+  // Returns the L3 hop count and fills the media crossed.
+  std::size_t walk(IpAddr src, IpAddr dst,
+                   std::vector<const Medium*>& media) const {
+    std::unordered_map<const Nic*, const Switch*> port_owner;
+    for (const auto& sw : network_.switches()) {
+      for (const auto& port : sw->ports()) port_owner[port.get()] = sw.get();
+    }
+    auto push_unique = [&media](const Medium* m) {
+      if (m != nullptr &&
+          std::find(media.begin(), media.end(), m) == media.end()) {
+        media.push_back(m);
+      }
+    };
+    auto walk_l2 = [&](const Nic* cur, const Nic* target) {
+      for (int i = 0; i < 64 && cur != nullptr; ++i) {
+        const Medium* medium = cur->medium();
+        if (medium == nullptr) return;
+        push_unique(medium);
+        const Nic* next = nullptr;
+        for (Nic* nic : medium->attached_nics()) {
+          if (nic == cur) continue;
+          if (nic == target) return;
+          auto owner = port_owner.find(nic);
+          if (owner == port_owner.end() || next != nullptr) continue;
+          Nic* out = owner->second->port_for(target->mac());
+          if (out != nullptr && out != nic) next = out;
+        }
+        cur = next;
+      }
+    };
+    std::size_t hops = 0;
+    const Host* cur = host_of(src);
+    for (int i = 0; i < 32 && cur != nullptr && !cur->owns_ip(dst); ++i) {
+      const auto route = lookup(cur->routing(), dst);
+      if (!route || route->out == nullptr) break;
+      ++hops;
+      const IpAddr hop_ip =
+          route->gateway.is_unspecified() ? dst : route->gateway;
+      const Nic* hop_nic = nic_of(hop_ip);
+      if (hop_nic == nullptr) break;
+      walk_l2(route->out, hop_nic);
+      const Host* next = host_of(hop_ip);
+      if (next == cur) break;
+      cur = next;
+    }
+    return hops;
+  }
+
+ private:
+  const Network& network_;
+};
+
+// Every assigned address (plus one nobody owns) resolves as the brute
+// force does, and every ordered pair routes over the same media and hops.
+// Returns how many pairs crossed a router, so callers can tell the check
+// covered multi-hop routes.
+std::size_t expect_lookups_match_brute_force(const Network& network) {
+  const BruteForceTopology ref(network);
+  std::vector<IpAddr> addrs;
+  for (const auto& h : network.hosts()) {
+    for (const auto& nic : h->nics()) {
+      if (!nic->ip().is_unspecified()) addrs.push_back(nic->ip());
+    }
+  }
+  addrs.push_back(IpAddr(192, 0, 2, 1));
+  addrs.push_back(IpAddr{});
+  std::size_t routed = 0;
+  for (IpAddr a : addrs) {
+    EXPECT_EQ(network.host_of(a), ref.host_of(a)) << a.to_string();
+    EXPECT_EQ(network.nic_of(a), ref.nic_of(a)) << a.to_string();
+    for (IpAddr b : addrs) {
+      std::vector<const Medium*> media;
+      const std::size_t hops = ref.walk(a, b, media);
+      EXPECT_EQ(network.route_media(a, b), media)
+          << a.to_string() << " -> " << b.to_string();
+      EXPECT_EQ(network.route_hops(a, b), hops)
+          << a.to_string() << " -> " << b.to_string();
+      const auto trace = network.trace_route(a, b);
+      EXPECT_EQ(trace.media, media);
+      EXPECT_EQ(trace.hops, hops);
+      if (hops > 1) ++routed;
+    }
+  }
+  return routed;
+}
+
+TEST(TopologyIndex, SmallFabricMatchesBruteForce) {
+  sim::Simulator sim;
+  apps::FabricOptions opt;
+  opt.spines = 2;
+  opt.client_edges = 3;
+  opt.clients_per_edge = 3;
+  opt.server_edges = 2;
+  opt.servers_per_edge = 2;
+  opt.install_sinks = false;
+  apps::FabricTestbed bed(sim, opt);
+  EXPECT_GT(expect_lookups_match_brute_force(bed.network()), 0u);
+}
+
+TEST(TopologyIndex, RtdsTestbedMatchesBruteForce) {
+  sim::Simulator sim;
+  apps::TestbedOptions opt;
+  opt.install_agents = false;
+  opt.install_sinks = false;
+  apps::Testbed bed(sim, opt);
+  expect_lookups_match_brute_force(bed.network());
+  EXPECT_EQ(bed.network().route_hops(bed.server_ip(0), bed.client_ip(8)), 1u);
+  EXPECT_EQ(bed.network().route_media(bed.server_ip(0), bed.client_ip(8)).size(),
+            2u);
+}
+
+TEST(TopologyIndex, LateAttachmentsAreIndexed) {
+  sim::Simulator sim;
+  Network network(sim, util::Rng(3));
+  auto& sw0 = network.add_switch("sw0");
+  auto& h0 = network.add_host("h0");
+  auto& h1 = network.add_host("h1");
+  network.attach(h0, sw0, IpAddr(10, 0, 0, 1), 24, 100e6);
+  network.attach(h1, sw0, IpAddr(10, 0, 0, 2), 24, 100e6);
+  network.auto_route();
+  EXPECT_EQ(network.host_of(IpAddr(10, 0, 0, 1)), &h0);
+  EXPECT_EQ(network.host_of(IpAddr(10, 0, 0, 3)), nullptr);
+  EXPECT_EQ(network.route_media(IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 2)).size(),
+            2u);
+
+  // Grow the topology after the first lookups: a second switch behind a
+  // trunk, a host on it, and a router leading to a point-to-point host.
+  auto& sw1 = network.add_switch("sw1");
+  network.connect(sw0, sw1, 100e6);
+  auto& h2 = network.add_host("h2");
+  network.attach(h2, sw1, IpAddr(10, 0, 0, 3), 24, 100e6);
+  auto& r = network.add_router("r");
+  network.attach(r, sw1, IpAddr(10, 0, 0, 254), 24, 100e6);
+  auto& h3 = network.add_host("h3");
+  network.connect(r, IpAddr(10, 1, 0, 1), h3, IpAddr(10, 1, 0, 2), 24, 10e6);
+  network.auto_route();
+
+  EXPECT_EQ(network.host_of(IpAddr(10, 0, 0, 3)), &h2);
+  EXPECT_EQ(network.host_of(IpAddr(10, 1, 0, 1)), &r);
+  EXPECT_EQ(network.host_of(IpAddr(10, 1, 0, 2)), &h3);
+  ASSERT_NE(network.nic_of(IpAddr(10, 1, 0, 2)), nullptr);
+  const auto media =
+      network.route_media(IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 3));
+  ASSERT_EQ(media.size(), 3u);  // h0 link, sw0<->sw1 trunk, h2 link
+  const Medium* trunk = nullptr;
+  for (const auto& link : network.links()) {
+    if (link->name() == "sw0<->sw1") trunk = link.get();
+  }
+  EXPECT_EQ(media[1], trunk);
+  EXPECT_EQ(network.route_hops(IpAddr(10, 0, 0, 1), IpAddr(10, 1, 0, 2)), 2u);
+  EXPECT_EQ(network.route_media(IpAddr(10, 0, 0, 1), IpAddr(10, 1, 0, 2)).size(),
+            4u);  // h0 link, trunk, r's sw1 link, r<->h3
+  EXPECT_GT(expect_lookups_match_brute_force(network), 0u);
 }
 
 TEST(Udp, EphemeralPortsUniqueAndRebindRejected) {

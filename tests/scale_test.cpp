@@ -204,7 +204,12 @@ TEST(ScaleSoak, HundredThousandPathAdmissionStaysIndexed) {
   opt.server_edges = 10;
   opt.servers_per_edge = 8;   // 80 servers
   opt.install_sinks = false;  // topology only: the scheduler is the SUT
+  // Topology build (auto_route included), route profiling and the
+  // scheduler drain are timed apart, so the admission rate measures
+  // admissions and not route lookups.
+  const auto setup0 = std::chrono::steady_clock::now();
   apps::FabricTestbed bed(sim, opt);
+  const auto setup1 = std::chrono::steady_clock::now();
   ASSERT_EQ(bed.path_count(), 100'000);
 
   const nttcp::NttcpConfig probe = soak_probe();
@@ -227,8 +232,6 @@ TEST(ScaleSoak, HundredThousandPathAdmissionStaysIndexed) {
                       apps::FabricTestbed::SweepOrder::kStriped);
   ASSERT_EQ(requests.size(), 100'000u);
 
-  // Route profiling and the scheduler drain are timed apart, so the
-  // admission rate measures admissions and not route lookups.
   const auto wall0 = std::chrono::steady_clock::now();
   std::vector<core::ProbeProfile> profiles;
   profiles.reserve(requests.size());
@@ -267,6 +270,7 @@ TEST(ScaleSoak, HundredThousandPathAdmissionStaysIndexed) {
   }
   const auto wall2 = std::chrono::steady_clock::now();
   using Ms = std::chrono::duration<double, std::milli>;
+  const double setup_ms = Ms(setup1 - setup0).count();
   const double profile_ms = Ms(wall1 - wall0).count();
   const double drain_ms = Ms(wall2 - wall1).count();
 
@@ -298,6 +302,7 @@ TEST(ScaleSoak, HundredThousandPathAdmissionStaysIndexed) {
       << ",\n\"wake_share_of_naive\": "
       << (static_cast<double>(stats.wake_tests) /
           static_cast<double>(naive_scan_bound))
+      << ",\n\"setup_ms\": " << setup_ms
       << ",\n\"profile_ms\": " << profile_ms
       << ",\n\"drain_ms\": " << drain_ms
       << ",\n\"admissions_per_sec\": " << admissions_per_sec
