@@ -1,16 +1,21 @@
 // Microbenchmarks (google-benchmark) for the hot substrate paths: event
-// queue, BER codec, MIB walks, the measurement database, and a full
-// simulated UDP round trip.
+// queue, BER codec, MIB walks, the measurement database, a full simulated
+// UDP round trip, frame forwarding through a switch, and one sample's trip
+// through the director/database/manager pipeline.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "core/lane_scheduler.hpp"
 #include "core/measurement_db.hpp"
+#include "core/sensor_director.hpp"
 #include "ctrl/control_plane.hpp"
+#include "manager/resource_manager.hpp"
+#include "net/switch.hpp"
 #include "net/topology.hpp"
 #include "net/udp.hpp"
 #include "obs/metrics.hpp"
@@ -449,6 +454,87 @@ void BM_SimulatedUdpRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_SimulatedUdpRoundTrip);
+
+// A steady UDP stream a -> switch -> b: each iteration sends a burst of 64
+// datagrams and runs until all are delivered, so every frame crosses two
+// links and one switch (queueing, serialization, forwarding delay). The
+// topology is built and warmed once, outside the timed loop.
+void BM_LinkFrameForward(benchmark::State& state) {
+  constexpr int kBurst = 64;
+  sim::Simulator sim;
+  net::Network network(sim, util::Rng(1));
+  net::Host& a = network.add_host("a");
+  net::Host& b = network.add_host("b");
+  net::Switch& sw = network.add_switch("sw");
+  const net::IpAddr b_ip(10, 0, 0, 2);
+  network.attach(a, sw, net::IpAddr(10, 0, 0, 1), 24,
+                 net::bandwidth::kFddi100);
+  network.attach(b, sw, b_ip, 24, net::bandwidth::kFddi100);
+  network.auto_route();
+  std::uint64_t received = 0;
+  b.udp().bind(7000, [&received](const net::Packet&) { ++received; });
+  net::UdpSocket& tx = a.udp().bind(0, nullptr);
+  auto burst = [&] {
+    for (int i = 0; i < kBurst; ++i) {
+      tx.send_to(b_ip, 7000, 512, nullptr, net::TrafficClass::kApplication);
+    }
+    sim.run();
+  };
+  burst();
+  for (auto _ : state) burst();
+  benchmark::DoNotOptimize(received);
+  state.SetItemsProcessed(state.iterations() * kBurst);
+}
+BENCHMARK(BM_LinkFrameForward);
+
+// A sensor that answers every reachability request at once, taking the
+// network out of the per-sample pipeline.
+class InstantReachSensor : public core::NetworkSensor {
+ public:
+  explicit InstantReachSensor(sim::Simulator& sim) : sim_(sim) {}
+  std::string name() const override { return "instant"; }
+  bool supports(core::Metric m) const override {
+    return m == core::Metric::kReachability;
+  }
+  void measure(const core::Path&, core::Metric, Done done) override {
+    done(core::MetricValue::of(1.0, sim_.now()));
+  }
+
+ private:
+  sim::Simulator& sim_;
+};
+
+// One sample's round trip through the per-sample pipeline on the paper's
+// 9x3 matrix: the serial sequencer admits the probe, the sensor answers,
+// the director records it in the database and reports the tuple, and the
+// resource manager judges it. The manager drives the director in
+// continuous mode, so one simulator event runs a whole 27-sample round.
+void BM_DirectorSampleRoundTrip(benchmark::State& state) {
+  sim::Simulator sim;
+  core::SensorDirector director(sim, 1);
+  InstantReachSensor sensor(sim);
+  director.register_sensor(core::Metric::kReachability, &sensor);
+  mgr::ResourceManager::Config cfg;
+  cfg.metrics = {core::Metric::kReachability};
+  cfg.strikes = 2;
+  mgr::ResourceManager manager(director, cfg);
+  mgr::ManagedApplication app;
+  app.name = "rtds";
+  for (std::uint8_t s = 1; s <= 3; ++s) {
+    app.server_pool.push_back(net::IpAddr(10, 0, 0, s));
+  }
+  for (std::uint8_t c = 1; c <= 9; ++c) {
+    app.client_pool.push_back(net::IpAddr(10, 0, 1, c));
+  }
+  app.port = 7;
+  manager.manage(app, app.server_pool[0]);
+  sim.run(64);  // warm: pools, database series and pages
+  const std::uint64_t tuples0 = manager.tuples_consumed();
+  for (auto _ : state) sim.run(1);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(manager.tuples_consumed() - tuples0));
+}
+BENCHMARK(BM_DirectorSampleRoundTrip);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/logging.hpp"
 
@@ -26,84 +27,120 @@ bool NttcpSensor::supports(Metric metric) const {
   return true;  // the application-layer tool measures all three accurately
 }
 
-void NttcpSensor::measure(const Path& path, Metric metric, Done done) {
-  auto acc = std::make_shared<LegAccumulator>();
-  measure_leg(path, metric, 0, std::move(acc), std::move(done));
+namespace {
+
+// Pops a recycled slot index, or appends a fresh slot.
+template <class Slots>
+std::uint32_t take_slot(Slots& slots, std::vector<std::uint32_t>& free) {
+  if (!free.empty()) {
+    const std::uint32_t i = free.back();
+    free.pop_back();
+    return i;
+  }
+  slots.emplace_back();
+  return static_cast<std::uint32_t>(slots.size() - 1);
 }
 
-void NttcpSensor::measure_leg(const Path& path, Metric metric,
-                              std::size_t leg_index,
-                              std::shared_ptr<LegAccumulator> acc,
-                              Done done) {
-  auto [from, to] = path.leg(leg_index);
+}  // namespace
+
+void NttcpSensor::measure(const Path& path, Metric metric, Done done) {
+  const std::uint32_t m = take_slot(measurements_, free_measurements_);
+  Measurement& ms = measurements_[m];
+  ms.path = path;
+  ms.metric = metric;
+  ms.acc = LegAccumulator{};
+  ms.done = std::move(done);
+  measure_leg(m, 0);
+}
+
+void NttcpSensor::measure_leg(std::uint32_t m, std::size_t leg_index) {
+  const Measurement& ms = measurements_[m];
+  auto [from, to] = ms.path.leg(leg_index);
   net::Host* source = network_.host_of(from.host);
   if (source == nullptr || !source->up()) {
-    done(MetricValue::failed(network_.simulator().now()));
+    complete(m, MetricValue::failed(network_.simulator().now()));
     return;
   }
-  const bool last_leg = leg_index + 1 >= path.leg_count();
-  const std::uint64_t token = next_token_++;
-
-  if (metric == Metric::kReachability) {
-    auto probe = std::make_unique<nttcp::ReachabilityProbe>(
-        *source, to.host, reach_config_,
-        [this, path, metric, leg_index, acc, done, last_leg,
-         token](const nttcp::ReachabilityResult& r) {
-          cleanup_later(token);
-          if (!r.reachable) {
-            done(MetricValue::of(0.0, network_.simulator().now()));
-            return;
-          }
-          if (last_leg) {
-            done(MetricValue::of(1.0, network_.simulator().now()));
-          } else {
-            measure_leg(path, metric, leg_index + 1, acc, done);
-          }
-        });
-    ++probes_launched_;
-    probe->start();
-    active_reach_.emplace(token, std::move(probe));
-    return;
-  }
-
-  auto probe = std::make_unique<nttcp::NttcpProbe>(
-      *source, to.host, probe_config_,
-      [this, path, metric, leg_index, acc, done, last_leg,
-       token](const nttcp::NttcpResult& r) {
-        cleanup_later(token);
-        probe_bytes_on_wire_ += r.probe_bytes_on_wire;
-        if (!r.completed) {
-          done(MetricValue::failed(network_.simulator().now()));
-          return;
-        }
-        if (metric == Metric::kThroughput) {
-          if (!acc->have_throughput || r.throughput_bps < acc->min_throughput_bps) {
-            acc->have_throughput = true;
-            acc->min_throughput_bps = r.throughput_bps;
-          }
-        } else {  // one-way latency
-          acc->latency_sum_s += r.latency.empty() ? 0.0 : r.latency.median();
-        }
-        if (!last_leg) {
-          measure_leg(path, metric, leg_index + 1, acc, done);
-          return;
-        }
-        const double value = metric == Metric::kThroughput
-                                 ? acc->min_throughput_bps
-                                 : acc->latency_sum_s;
-        done(MetricValue::of(value, network_.simulator().now()));
-      });
+  const std::uint32_t p = take_slot(probes_, free_probes_);
+  ProbeSlot& slot = probes_[p];
+  slot.measurement = m;
+  slot.leg = leg_index;
   ++probes_launched_;
-  probe->start();
-  active_probes_.emplace(token, std::move(probe));
+  if (ms.metric == Metric::kReachability) {
+    slot.reach.emplace(*source, to.host, reach_config_,
+                       [this, p](const nttcp::ReachabilityResult& r) {
+                         on_reach_result(p, r);
+                       });
+    slot.reach->start();
+    return;
+  }
+  slot.nttcp.emplace(*source, to.host, probe_config_,
+                     [this, p](const nttcp::NttcpResult& r) {
+                       on_nttcp_result(p, r);
+                     });
+  slot.nttcp->start();
 }
 
-void NttcpSensor::cleanup_later(std::uint64_t token) {
+void NttcpSensor::on_reach_result(std::uint32_t p,
+                                  const nttcp::ReachabilityResult& r) {
+  cleanup_later(p);
+  const std::uint32_t m = probes_[p].measurement;
+  const std::size_t next_leg = probes_[p].leg + 1;
+  const sim::TimePoint now = network_.simulator().now();
+  if (!r.reachable) {
+    complete(m, MetricValue::of(0.0, now));
+  } else if (next_leg >= measurements_[m].path.leg_count()) {
+    complete(m, MetricValue::of(1.0, now));
+  } else {
+    measure_leg(m, next_leg);
+  }
+}
+
+void NttcpSensor::on_nttcp_result(std::uint32_t p,
+                                  const nttcp::NttcpResult& r) {
+  cleanup_later(p);
+  probe_bytes_on_wire_ += r.probe_bytes_on_wire;
+  const std::uint32_t m = probes_[p].measurement;
+  const std::size_t next_leg = probes_[p].leg + 1;
+  Measurement& ms = measurements_[m];
+  if (!r.completed) {
+    complete(m, MetricValue::failed(network_.simulator().now()));
+    return;
+  }
+  LegAccumulator& acc = ms.acc;
+  if (ms.metric == Metric::kThroughput) {
+    if (!acc.have_throughput || r.throughput_bps < acc.min_throughput_bps) {
+      acc.have_throughput = true;
+      acc.min_throughput_bps = r.throughput_bps;
+    }
+  } else {  // one-way latency
+    acc.latency_sum_s += r.latency.empty() ? 0.0 : r.latency.median();
+  }
+  if (next_leg < ms.path.leg_count()) {
+    measure_leg(m, next_leg);
+    return;
+  }
+  const double value = ms.metric == Metric::kThroughput
+                           ? acc.min_throughput_bps
+                           : acc.latency_sum_s;
+  complete(m, MetricValue::of(value, network_.simulator().now()));
+}
+
+void NttcpSensor::complete(std::uint32_t m, const MetricValue& value) {
+  // The slot is free before the caller hears back: its completion may
+  // start the next measurement, which can reuse it.
+  Done done = std::move(measurements_[m].done);
+  free_measurements_.push_back(m);
+  done(value);
+}
+
+void NttcpSensor::cleanup_later(std::uint32_t p) {
   // Probes finish from inside their own callbacks; destroy them on a fresh
   // event so no object deletes itself mid-call.
-  network_.simulator().schedule_in(sim::Duration::ns(0), [this, token] {
-    active_probes_.erase(token);
-    active_reach_.erase(token);
+  network_.simulator().schedule_in(sim::Duration::ns(0), [this, p] {
+    probes_[p].reach.reset();
+    probes_[p].nttcp.reset();
+    free_probes_.push_back(p);
   });
 }
 

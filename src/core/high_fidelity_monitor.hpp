@@ -6,8 +6,10 @@
 // the monitored application's message length L and inter-send period P.
 // The test sequencer bounds concurrency: 1 = the paper's serial sequencer.
 
+#include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "core/sensor_director.hpp"
@@ -55,18 +57,39 @@ class NttcpSensor : public NetworkSensor {
     bool all_ok = true;
   };
 
-  void measure_leg(const Path& path, Metric metric, std::size_t leg_index,
-                   std::shared_ptr<LegAccumulator> acc, Done done);
-  void cleanup_later(std::uint64_t token);
+  // One measure() call in flight. Slots recycle; assigning the path into a
+  // recycled slot reuses its buffers, so a steady sensor copies no Path
+  // onto the heap.
+  struct Measurement {
+    Path path;
+    Metric metric = Metric::kThroughput;
+    LegAccumulator acc;
+    Done done;
+  };
+  // One leg's probe. Probes finish from inside their own callbacks, so a
+  // slot is emptied on a fresh event (cleanup_later); the next leg's probe
+  // takes another slot meanwhile. Deques keep both kinds of slot at stable
+  // addresses: the probes register `this` with sockets and timers.
+  struct ProbeSlot {
+    std::optional<nttcp::ReachabilityProbe> reach;
+    std::optional<nttcp::NttcpProbe> nttcp;
+    std::uint32_t measurement = 0;
+    std::size_t leg = 0;
+  };
+
+  void measure_leg(std::uint32_t m, std::size_t leg_index);
+  void on_reach_result(std::uint32_t p, const nttcp::ReachabilityResult& r);
+  void on_nttcp_result(std::uint32_t p, const nttcp::NttcpResult& r);
+  void complete(std::uint32_t m, const MetricValue& value);
+  void cleanup_later(std::uint32_t p);
 
   net::Network& network_;
   nttcp::NttcpConfig probe_config_;
   nttcp::ReachabilityProbe::Config reach_config_;
-  std::uint64_t next_token_ = 1;
-  std::unordered_map<std::uint64_t, std::unique_ptr<nttcp::NttcpProbe>>
-      active_probes_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<nttcp::ReachabilityProbe>>
-      active_reach_;
+  std::deque<Measurement> measurements_;
+  std::vector<std::uint32_t> free_measurements_;
+  std::deque<ProbeSlot> probes_;
+  std::vector<std::uint32_t> free_probes_;
   std::uint64_t probes_launched_ = 0;
   std::uint64_t probe_bytes_on_wire_ = 0;
 };

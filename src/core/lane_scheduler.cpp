@@ -42,38 +42,25 @@ const char* to_string(ProbeClass cls) {
   return "?";
 }
 
-// Shared between every copy of one task's Done callback: the first
-// invocation releases the lane, later ones are counted no-ops, and the
-// destructor of the last copy releases the lane if nobody ever called it.
-// The in-flight Node (footprint, offered load, lane id) stays pool-owned by
-// the scheduler until release, so the Done itself carries no footprint.
-struct LaneScheduler::DoneState {
-  LaneScheduler* sched;
-  std::weak_ptr<int> guard;
-  Node* node;
-  bool called = false;
+static_assert(sizeof(LaneScheduler::Done) <= 32,
+              "a Done plus two words must fit sim::Callback's inline buffer");
 
-  DoneState(LaneScheduler* s, Node* n)
-      : sched(s), guard(s->liveness_), node(n) {}
-  DoneState(const DoneState&) = delete;
-  DoneState& operator=(const DoneState&) = delete;
-
-  void invoke() {
-    if (guard.expired()) return;  // scheduler destroyed first
-    if (called) {
-      ++sched->double_dones_;
-      return;
-    }
-    called = true;
-    sched->finish(node, /*abandoned=*/false);
+void LaneScheduler::Done::operator()() const {
+  if (!cell_.pool_alive()) return;  // null, or the scheduler is gone
+  Cell& cell = *cell_;
+  if (cell.called) {
+    ++cell.sched->double_dones_;
+    return;
   }
+  cell.called = true;
+  cell.sched->finish(cell.node, /*abandoned=*/false);
+}
 
-  ~DoneState() {
-    if (called || guard.expired()) return;
-    called = true;
-    sched->finish(node, /*abandoned=*/true);
-  }
-};
+void LaneScheduler::abandon(Done::Cell& cell) {
+  if (cell.called) return;
+  cell.called = true;
+  cell.sched->finish(cell.node, /*abandoned=*/true);
+}
 
 LaneScheduler::LaneScheduler(SchedulerConfig config) {
   configure(config);
@@ -570,14 +557,16 @@ void LaneScheduler::admit(Node* n) {
   // node mid-call — so the callable leaves the node before it runs.
   Task fn = std::move(n->fn);
   n->fn = nullptr;
-  auto state = std::make_shared<DoneState>(this, n);
+  auto cell = done_cells_.acquire();
+  cell->sched = this;
+  cell->node = n;
   // The Done callback may fire synchronously or much later; both are fine.
-  fn([state] { state->invoke(); });
+  fn(Done(std::move(cell)));
 }
 
 void LaneScheduler::finish(Node* n, bool abandoned) {
   // Lane-release monotonicity contract: every release must match exactly
-  // one launch. DoneState guarantees this today; if a refactor ever breaks
+  // one launch. Done's cell guarantees this today; if a refactor ever breaks
   // it, corrupting the concurrency bound silently is the worst outcome, so
   // fail loudly instead.
   if (in_flight_ == 0) {

@@ -47,9 +47,14 @@
 //
 // Robustness contract (inherited from the original sequencer): a task's
 // Done may be invoked exactly once; extra invocations are counted no-ops, a
-// task that drops its Done uncalled releases the lane as "abandoned", and
-// Dones outliving the scheduler degrade to no-ops. Lane accounting and the
-// occupancy/waiter index are self-checking (check_consistency()).
+// task that drops every copy of its Done uncalled releases the lane as
+// "abandoned", and Dones outliving the scheduler degrade to no-ops. Lane
+// accounting and the occupancy/waiter index are self-checking
+// (check_consistency()).
+//
+// Done is a pointer-sized handle onto a pooled cell with an intrusive,
+// non-atomic count (util::RefPool), and Task a small-buffer callable, so a
+// warmed-up admission allocates nothing (DESIGN.md §16).
 
 #include <cstdint>
 #include <functional>
@@ -60,6 +65,8 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/function.hpp"
+#include "util/ref_pool.hpp"
 
 namespace netmon::core {
 
@@ -157,10 +164,38 @@ struct AdmissionRecord {
 };
 
 class LaneScheduler {
+  struct Node;
+
  public:
   // A task receives a completion callback it must invoke exactly once.
-  using Done = std::function<void()>;
-  using Task = std::function<void(Done)>;
+  // Copies share one cell: the first call releases the lane, later calls
+  // are counted no-ops (double_dones()), destroying the last copy uncalled
+  // releases it as abandoned, and once the scheduler is gone every call is
+  // a no-op. Calling a default-constructed Done does nothing.
+  class Done {
+   public:
+    Done() = default;
+    // Drops this copy (the last copy dropped uncalled abandons the lane).
+    Done& operator=(std::nullptr_t) {
+      cell_.reset();
+      return *this;
+    }
+    void operator()() const;
+    explicit operator bool() const { return static_cast<bool>(cell_); }
+
+   private:
+    friend class LaneScheduler;
+    struct Cell {
+      LaneScheduler* sched = nullptr;
+      Node* node = nullptr;
+      bool called = false;
+    };
+    explicit Done(util::RefPool<Cell>::Ref cell) : cell_(std::move(cell)) {}
+    util::RefPool<Cell>::Ref cell_;
+  };
+  // 16 inline bytes: `this` plus a handle or index, as large as a
+  // std::function, so queued nodes do not grow.
+  using Task = util::SmallFunction<void(Done), 16>;
 
   static constexpr std::size_t kUnlimited =
       std::numeric_limits<std::size_t>::max();
@@ -242,7 +277,6 @@ class LaneScheduler {
                             std::function<std::int64_t()> now_ns = {});
 
  private:
-  struct DoneState;
   struct LinkState;
 
   // One waiting or in-flight request. Nodes are pool-allocated with stable
@@ -321,6 +355,7 @@ class LaneScheduler {
     LinkState* ls = nullptr;  // the blocking link's entry when gate == kLink
   };
 
+  static void abandon(Done::Cell& cell);  // last Done copy dropped
   std::int64_t now() const { return now_ns_ ? now_ns_() : 0; }
   double budget_ceiling() const;
   Node* alloc_node();
@@ -385,15 +420,16 @@ class LaneScheduler {
   std::vector<AdmissionRecord> trace_;
   std::size_t trace_capacity_ = 0;
   std::uint64_t trace_emitted_ = 0;
-  // Liveness token observed (weakly) by outstanding Done callbacks so a
-  // Done fired after the scheduler is gone cannot touch freed memory.
-  std::shared_ptr<int> liveness_ = std::make_shared<int>(0);
-
   // Observability handles (null while detached; owned by the registry).
   obs::Scope obs_;
   bool obs_timed_ = false;
   obs::Histogram* obs_slot_wait_ = nullptr;
   obs::Histogram* obs_slot_hold_ = nullptr;
+
+  // Cells of the outstanding Done handles. Declared last so it is torn
+  // down first: a Done dropped while the other members are destroyed must
+  // already see the scheduler as gone.
+  util::RefPool<Done::Cell> done_cells_{&LaneScheduler::abandon};
 };
 
 }  // namespace netmon::core

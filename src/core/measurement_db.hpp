@@ -34,11 +34,6 @@ struct Measurement {
   }
 };
 
-// Dense index of an interned Path. Ids are assigned in interning order,
-// starting at 0, and stay valid for the database's lifetime.
-using PathId = std::uint32_t;
-constexpr PathId kInvalidPathId = 0xFFFFFFFFu;
-
 class MeasurementDatabase {
  public:
   explicit MeasurementDatabase(std::size_t history_depth = 64,

@@ -94,11 +94,20 @@ struct MetricValue {
   }
 };
 
+// Dense index of a Path interned by a MeasurementDatabase. Ids are assigned
+// in interning order, starting at 0, and stay valid for the database's
+// lifetime.
+using PathId = std::uint32_t;
+constexpr PathId kInvalidPathId = 0xFFFFFFFFu;
+
 // The (path, metric) tuple reported to the resource manager (paper §4.1).
 struct PathMetricTuple {
   Path path;
   Metric metric = Metric::kThroughput;
   MetricValue value;
+  // The director's database id for `path`, so consumers can index per-path
+  // state densely; kInvalidPathId when the producer has none.
+  PathId path_id = kInvalidPathId;
 };
 
 }  // namespace netmon::core

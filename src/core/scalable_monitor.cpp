@@ -13,20 +13,21 @@ SnmpSensor::SnmpSensor(net::Network& network, snmp::Manager& manager,
     : network_(network), manager_(manager), config_(config) {}
 
 void SnmpSensor::measure(const Path& path, Metric metric, Done done) {
+  auto shared = std::make_shared<const Done>(std::move(done));
   switch (metric) {
     case Metric::kReachability:
-      measure_reachability(path, std::move(done));
+      measure_reachability(path, std::move(shared));
       return;
     case Metric::kThroughput:
-      measure_throughput(path, std::move(done));
+      measure_throughput(path, std::move(shared));
       return;
     case Metric::kOneWayLatency:
-      measure_latency(path, std::move(done));
+      measure_latency(path, std::move(shared));
       return;
   }
 }
 
-void SnmpSensor::measure_reachability(const Path& path, Done done) {
+void SnmpSensor::measure_reachability(const Path& path, SharedDone done) {
   // A path is reachable when the agents on BOTH endpoints answer (paper
   // §5.2.2: "the sensor director could translate (path, metric)-tuples ...
   // to SNMP MIB queries"). A poll the manager abandons after its retries is
@@ -37,14 +38,14 @@ void SnmpSensor::measure_reachability(const Path& path, Done done) {
                [this, src = path.source().host,
                 done = std::move(done)](const snmp::SnmpResult& r) {
                  if (!r.ok) {
-                   done(MetricValue::failed(network_.simulator().now()));
+                   (*done)(MetricValue::failed(network_.simulator().now()));
                    return;
                  }
                  ++polls_issued_;
                  manager_.get(src, {snmp::mib2::kSysUpTime},
                               [this, done = std::move(done)](
                                   const snmp::SnmpResult& r2) {
-                                done(r2.ok ? MetricValue::of(
+                                (*done)(r2.ok ? MetricValue::of(
                                                  1.0,
                                                  network_.simulator().now())
                                            : MetricValue::failed(
@@ -53,7 +54,7 @@ void SnmpSensor::measure_reachability(const Path& path, Done done) {
                });
 }
 
-void SnmpSensor::measure_throughput(const Path& path, Done done) {
+void SnmpSensor::measure_throughput(const Path& path, SharedDone done) {
   // Two polls of ifOutOctets on the source host, Δ apart; the rate estimate
   // uses the management station's own (quantized, drifting) clock and
   // counts every byte the interface emitted — not just this path's.
@@ -67,7 +68,7 @@ void SnmpSensor::measure_throughput(const Path& path, Done done) {
                    const snmp::SnmpResult& first) {
     if (!first.ok || first.varbinds.empty() ||
         first.varbinds[0].value.is_exception()) {
-      done(MetricValue::failed(network_.simulator().now()));
+      (*done)(MetricValue::failed(network_.simulator().now()));
       return;
     }
     const std::uint64_t octets0 = first.varbinds[0].value.to_uint64();
@@ -80,7 +81,7 @@ void SnmpSensor::measure_throughput(const Path& path, Done done) {
                            const snmp::SnmpResult& second) {
             if (!second.ok || second.varbinds.empty() ||
                 second.varbinds[0].value.is_exception()) {
-              done(MetricValue::failed(network_.simulator().now()));
+              (*done)(MetricValue::failed(network_.simulator().now()));
               return;
             }
             const std::uint64_t octets1 =
@@ -89,18 +90,18 @@ void SnmpSensor::measure_throughput(const Path& path, Done done) {
             const double dt = (t1 - t0).to_seconds();
             if (dt <= 0.0 || octets1 < octets0) {
               // Quantized clock showed no elapsed time, or counter wrap.
-              done(MetricValue::failed(network_.simulator().now()));
+              (*done)(MetricValue::failed(network_.simulator().now()));
               return;
             }
             const double bps =
                 static_cast<double>(octets1 - octets0) * 8.0 / dt;
-            done(MetricValue::of(bps, network_.simulator().now()));
+            (*done)(MetricValue::of(bps, network_.simulator().now()));
           });
         });
   });
 }
 
-void SnmpSensor::measure_latency(const Path& path, Done done) {
+void SnmpSensor::measure_latency(const Path& path, SharedDone done) {
   // Best available approximation: half the management round trip to the
   // destination agent, on the station's quantized clock. Includes agent
   // processing time; can read zero outright on a coarse clock.
@@ -109,12 +110,12 @@ void SnmpSensor::measure_latency(const Path& path, Done done) {
   manager_.get(path.destination().host, {snmp::mib2::kSysUpTime},
                [this, t0, done = std::move(done)](const snmp::SnmpResult& r) {
                  if (!r.ok) {
-                   done(MetricValue::failed(network_.simulator().now()));
+                   (*done)(MetricValue::failed(network_.simulator().now()));
                    return;
                  }
                  const auto t1 = manager_.host().clock().local_now();
                  const double half_rtt = (t1 - t0).to_seconds() / 2.0;
-                 done(MetricValue::of(half_rtt, network_.simulator().now()));
+                 (*done)(MetricValue::of(half_rtt, network_.simulator().now()));
                });
 }
 

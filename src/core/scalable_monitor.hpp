@@ -36,9 +36,12 @@ class SnmpSensor : public NetworkSensor {
   std::uint64_t polls_issued() const { return polls_issued_; }
 
  private:
-  void measure_reachability(const Path& path, Done done);
-  void measure_throughput(const Path& path, Done done);
-  void measure_latency(const Path& path, Done done);
+  // The SNMP manager's response handlers are copyable std::functions; the
+  // move-only Done rides through them behind one shared pointer.
+  using SharedDone = std::shared_ptr<const Done>;
+  void measure_reachability(const Path& path, SharedDone done);
+  void measure_throughput(const Path& path, SharedDone done);
+  void measure_latency(const Path& path, SharedDone done);
 
   net::Network& network_;
   snmp::Manager& manager_;

@@ -8,17 +8,6 @@
 
 namespace netmon::core {
 
-namespace {
-
-// Shared between one attempt's deadline timer and its sensor completion:
-// whichever settles first wins; the loser degrades to a counted no-op.
-struct AttemptState {
-  bool settled = false;
-  sim::EventHandle timer;
-};
-
-}  // namespace
-
 const char* to_string(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed: return "closed";
@@ -156,7 +145,7 @@ std::optional<ProbeClass> SensorDirector::path_priority(
 void SensorDirector::start_round(std::shared_ptr<ActiveRequest> request) {
   if (request->cancelled) return;
   request->round_started = sim_.now();
-  request->round_tuples.clear();
+  request->round_count = 0;
   request->outstanding = 0;
   for (const PathRequest& pr : request->request.paths) {
     request->outstanding += pr.metrics.size();
@@ -165,40 +154,53 @@ void SensorDirector::start_round(std::shared_ptr<ActiveRequest> request) {
     round_finished(request);
     return;
   }
-  for (const PathRequest& pr : request->request.paths) {
-    // Intern once per round; the per-measurement hot path below records by
-    // dense id and never re-keys the database on the full Path.
-    const PathId path_id = database_.id_of(pr.path);
-    for (Metric metric : pr.metrics) {
-      auto job = std::make_shared<Job>();
+  const std::vector<PathRequest>& paths = request->request.paths;
+  if (request->path_ids.empty()) {
+    // Intern once, on the first round that measures anything; the
+    // per-measurement hot path below records by dense id and never
+    // re-keys the database on the full Path.
+    request->path_ids.reserve(paths.size());
+    for (const PathRequest& pr : paths) {
+      request->path_ids.push_back(database_.id_of(pr.path));
+    }
+    if (request->request.reporting ==
+        MonitorRequest::Reporting::kAsynchronous) {
+      request->tuples.resize(paths.size());
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        request->tuples[i].path = paths[i].path;
+        request->tuples[i].path_id = request->path_ids[i];
+      }
+    }
+  }
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    for (Metric metric : paths[i].metrics) {
+      JobRef job = jobs_.acquire();
       job->request = request;
-      job->path = pr.path;
-      job->path_id = path_id;
+      job->path_id = request->path_ids[i];
+      job->path_index = static_cast<std::uint32_t>(i);
       job->metric = metric;
-      job->priority = pr.priority;
-      enqueue_job(std::move(job));
+      job->priority = paths[i].priority;
+      enqueue_job(job);
     }
   }
 }
 
-void SensorDirector::enqueue_job(std::shared_ptr<Job> job) {
+void SensorDirector::enqueue_job(const JobRef& job) {
   ProbeProfile profile;
-  if (profiler_) profile = profiler_(job->path, job->metric);
+  if (profiler_) {
+    profile = profiler_(database_.path_of(job->path_id), job->metric);
+  }
   profile.priority = job->priority;
   profile.tag = job->path_id;
   sequencer_.enqueue(
-      [this, job = std::move(job)](TestSequencer::Done done) {
-        launch(job, std::move(done));
-      },
+      [this, job](TestSequencer::Done done) { launch(job, std::move(done)); },
       std::move(profile));
 }
 
-void SensorDirector::launch(std::shared_ptr<Job> job,
-                            TestSequencer::Done done) {
+void SensorDirector::launch(const JobRef& job, TestSequencer::Done done) {
   if (job->request->cancelled) {
     // Account for the skipped job so the round can still close out.
-    job_finished(job->request, job->path, job->path_id, job->metric,
-                 MetricValue::failed(sim_.now()));
+    job_finished(*job, MetricValue::failed(sim_.now()));
     done();
     return;
   }
@@ -220,45 +222,51 @@ void SensorDirector::launch(std::shared_ptr<Job> job,
   }
 
   ++stats_.measurements_started;
-  auto attempt = std::make_shared<AttemptState>();
+  const std::uint64_t id = next_attempt_id_++;
+  job->attempt_id = id;
+  job->settled = false;
   if (!supervision_.deadline.is_zero()) {
-    attempt->timer = sim_.schedule_in(
-        supervision_.deadline, [this, job, sensor, attempt, done] {
-          if (attempt->settled) return;
-          attempt->settled = true;
+    job->deadline = sim_.schedule_in(
+        supervision_.deadline, [this, job, sensor, id, done] {
+          if (job->settled || job->attempt_id != id) return;
+          job->settled = true;
           ++stats_.timeouts;
           attempt_failed(job, sensor, done);
         });
   }
-  sensor->measure(
-      job->path, job->metric,
-      [this, job, sensor, attempt, done](MetricValue value) {
-        if (attempt->settled) {
-          // Completion after the deadline killed the attempt (or after a
-          // misbehaving sensor already reported): counted no-op.
-          ++stats_.late_completions;
-          return;
-        }
-        attempt->settled = true;
-        attempt->timer.cancel();
-        if (!value.valid) {
-          attempt_failed(job, sensor, done);
-          return;
-        }
-        breaker_success(sensor, job->path_id);
-        if (job->sensor_index > 0) {
-          value.quality = SampleQuality::kFallback;
-        } else if (job->attempt > 0) {
-          value.quality = SampleQuality::kRetried;
-        }
-        job_finished(job->request, job->path, job->path_id, job->metric,
-                     value);
-        done();
-      });
+  sensor->measure(database_.path_of(job->path_id), job->metric,
+                  [this, job, sensor, id, done](MetricValue value) {
+                    on_measured(job, sensor, id, done, value);
+                  });
 }
 
-void SensorDirector::attempt_failed(const std::shared_ptr<Job>& job,
-                                    NetworkSensor* sensor,
+void SensorDirector::on_measured(const JobRef& job, NetworkSensor* sensor,
+                                 std::uint64_t attempt_id,
+                                 const TestSequencer::Done& done,
+                                 MetricValue value) {
+  if (job->settled || job->attempt_id != attempt_id) {
+    // Completion after the deadline killed the attempt (or after a
+    // misbehaving sensor already reported): counted no-op.
+    ++stats_.late_completions;
+    return;
+  }
+  job->settled = true;
+  job->deadline.cancel();
+  if (!value.valid) {
+    attempt_failed(job, sensor, done);
+    return;
+  }
+  breaker_success(sensor, job->path_id);
+  if (job->sensor_index > 0) {
+    value.quality = SampleQuality::kFallback;
+  } else if (job->attempt > 0) {
+    value.quality = SampleQuality::kRetried;
+  }
+  job_finished(*job, value);
+  done();
+}
+
+void SensorDirector::attempt_failed(const JobRef& job, NetworkSensor* sensor,
                                     TestSequencer::Done done) {
   breaker_failure(sensor, job->path_id);
   if (job->attempt < supervision_.max_retries) {
@@ -267,8 +275,7 @@ void SensorDirector::attempt_failed(const std::shared_ptr<Job>& job,
     // Release the sequencer slot for the duration of the backoff; the retry
     // re-queues and competes for a slot like any other measurement.
     done();
-    sim_.schedule_in(backoff_delay(*job),
-                     [this, job] { enqueue_job(job); });
+    sim_.schedule_in(backoff_delay(*job), [this, job] { enqueue_job(job); });
     return;
   }
   const auto& chain = chains_[static_cast<std::size_t>(job->metric)];
@@ -283,8 +290,7 @@ void SensorDirector::attempt_failed(const std::shared_ptr<Job>& job,
   exhaust(job, std::move(done));
 }
 
-void SensorDirector::exhaust(const std::shared_ptr<Job>& job,
-                             TestSequencer::Done done) {
+void SensorDirector::exhaust(const JobRef& job, TestSequencer::Done done) {
   ++stats_.exhausted;
   const MetricValue failed = MetricValue::failed(sim_.now());
   if (supervision_.report_stale_on_exhaustion) {
@@ -297,13 +303,12 @@ void SensorDirector::exhaust(const std::shared_ptr<Job>& job,
       MetricValue recorded = failed;
       recorded.quality = SampleQuality::kStale;
       ++stats_.stale_reports;
-      job_finished(job->request, job->path, job->path_id, job->metric,
-                   reported, &recorded);
+      job_finished(*job, reported, &recorded);
       done();
       return;
     }
   }
-  job_finished(job->request, job->path, job->path_id, job->metric, failed);
+  job_finished(*job, failed);
   done();
 }
 
@@ -440,10 +445,8 @@ void SensorDirector::breaker_failure(NetworkSensor* sensor, PathId path) {
   }
 }
 
-void SensorDirector::job_finished(
-    const std::shared_ptr<ActiveRequest>& request, const Path& path,
-    PathId path_id, Metric metric, const MetricValue& reported,
-    const MetricValue* recorded) {
+void SensorDirector::job_finished(const Job& job, const MetricValue& reported,
+                                  const MetricValue* recorded) {
   ++stats_.measurements_completed;
   const MetricValue& to_record = recorded != nullptr ? *recorded : reported;
   if (!to_record.valid) ++stats_.measurements_failed;
@@ -455,21 +458,33 @@ void SensorDirector::job_finished(
     }
   }
 
-  if (!request->cancelled) {
-    if (request->request.record_to_database) {
-      database_.record(path_id, metric, to_record);
+  ActiveRequest& request = *job.request;
+  if (!request.cancelled) {
+    if (request.request.record_to_database) {
+      database_.record(job.path_id, job.metric, to_record);
     }
-    PathMetricTuple tuple{path, metric, reported};
-    if (request->request.reporting == MonitorRequest::Reporting::kSynchronous) {
-      request->round_tuples.push_back(tuple);
-    } else if (request->on_tuple) {
+    // Tuples are rewritten in place: a consumer that wants to keep one
+    // keeps its own copy.
+    if (request.request.reporting == MonitorRequest::Reporting::kSynchronous) {
+      if (request.round_count == request.round_tuples.size()) {
+        request.round_tuples.emplace_back();
+      }
+      PathMetricTuple& tuple = request.round_tuples[request.round_count++];
+      tuple.path = request.request.paths[job.path_index].path;
+      tuple.metric = job.metric;
+      tuple.value = reported;
+      tuple.path_id = job.path_id;
+    } else if (request.on_tuple) {
+      PathMetricTuple& tuple = request.tuples[job.path_index];
+      tuple.metric = job.metric;
+      tuple.value = reported;
       ++stats_.tuples_reported;
-      request->on_tuple(tuple);
+      request.on_tuple(tuple);
     }
   }
 
-  if (request->outstanding == 0) return;  // defensive; should not happen
-  if (--request->outstanding == 0) round_finished(request);
+  if (request.outstanding == 0) return;  // defensive; should not happen
+  if (--request.outstanding == 0) round_finished(job.request);
 }
 
 void SensorDirector::round_finished(
@@ -477,6 +492,7 @@ void SensorDirector::round_finished(
   ++stats_.rounds_completed;
   if (!request->cancelled &&
       request->request.reporting == MonitorRequest::Reporting::kSynchronous) {
+    request->round_tuples.resize(request->round_count);
     stats_.tuples_reported += request->round_tuples.size();
     if (request->on_round) request->on_round(request->round_tuples);
     // Synchronous mode also supports a per-tuple callback for convenience.

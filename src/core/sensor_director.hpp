@@ -30,6 +30,8 @@
 #include "core/path.hpp"
 #include "core/sequencer.hpp"
 #include "sim/simulator.hpp"
+#include "util/function.hpp"
+#include "util/ref_pool.hpp"
 
 namespace netmon::core {
 
@@ -38,7 +40,9 @@ namespace netmon::core {
 // data"). Implementations exist at different instrumentation points.
 class NetworkSensor {
  public:
-  using Done = std::function<void(MetricValue)>;
+  // Move-only; 48 inline bytes hold the director's completion (five words)
+  // without an allocation.
+  using Done = util::SmallFunction<void(MetricValue), 48>;
 
   virtual ~NetworkSensor() = default;
   virtual std::string name() const = 0;
@@ -234,30 +238,51 @@ class SensorDirector {
     MonitorRequest request;
     TupleCallback on_tuple;
     RoundCallback on_round;
+    // Database id of each PathRequest's path, interned on the first round
+    // that measures anything.
+    std::vector<PathId> path_ids;
+    // Asynchronous mode: one reported tuple per PathRequest, its path
+    // copied once; each report rewrites metric and value in place.
+    std::vector<PathMetricTuple> tuples;
+    // Synchronous mode: the round's first round_count entries, assigned in
+    // place, so a steady round reuses their path buffers.
     std::vector<PathMetricTuple> round_tuples;
+    std::size_t round_count = 0;
     std::size_t outstanding = 0;
     sim::TimePoint round_started;
     bool cancelled = false;
   };
 
   // One (path, metric) measurement job, possibly spanning several attempts
-  // across several sensors of the chain.
+  // across several sensors of the chain. Pooled (util::RefPool): the
+  // scheduler task, the sensor's completion, the deadline and the backoff
+  // timer each hold a JobRef, and the slot recycles when the last drops.
   struct Job {
     std::shared_ptr<ActiveRequest> request;
-    Path path;
     PathId path_id = kInvalidPathId;
+    std::uint32_t path_index = 0;  // index into request->request.paths
     Metric metric = Metric::kThroughput;
     ProbeClass priority = ProbeClass::kNormal;
     std::size_t sensor_index = 0;  // position in the fallback chain
     int attempt = 0;               // retries consumed on the current sensor
+    // The live attempt: its deadline and its sensor completion race, the
+    // first to arrive settles it, and anything carrying an older id (or
+    // arriving once settled) is a counted late no-op.
+    std::uint64_t attempt_id = 0;
+    bool settled = true;
+    sim::EventHandle deadline;
   };
+  using JobRef = util::RefPool<Job>::Ref;
 
   void start_round(std::shared_ptr<ActiveRequest> request);
-  void enqueue_job(std::shared_ptr<Job> job);
-  void launch(std::shared_ptr<Job> job, TestSequencer::Done done);
-  void attempt_failed(const std::shared_ptr<Job>& job, NetworkSensor* sensor,
+  void enqueue_job(const JobRef& job);
+  void launch(const JobRef& job, TestSequencer::Done done);
+  void on_measured(const JobRef& job, NetworkSensor* sensor,
+                   std::uint64_t attempt_id, const TestSequencer::Done& done,
+                   MetricValue value);
+  void attempt_failed(const JobRef& job, NetworkSensor* sensor,
                       TestSequencer::Done done);
-  void exhaust(const std::shared_ptr<Job>& job, TestSequencer::Done done);
+  void exhaust(const JobRef& job, TestSequencer::Done done);
   sim::Duration backoff_delay(const Job& job) const;
 
   bool breaker_admits(NetworkSensor* sensor, PathId path);
@@ -269,9 +294,7 @@ class SensorDirector {
   void publish_health(const NetworkSensor* sensor, PathId path,
                       const SensorHealth& h);
 
-  void job_finished(const std::shared_ptr<ActiveRequest>& request,
-                    const Path& path, PathId path_id, Metric metric,
-                    const MetricValue& reported,
+  void job_finished(const Job& job, const MetricValue& reported,
                     const MetricValue* recorded = nullptr);
   void round_finished(const std::shared_ptr<ActiveRequest>& request);
 
@@ -284,6 +307,8 @@ class SensorDirector {
   std::map<std::pair<const NetworkSensor*, PathId>, SensorHealth> health_;
   std::map<RequestId, std::shared_ptr<ActiveRequest>> requests_;
   RequestId next_id_ = 1;
+  util::RefPool<Job> jobs_;
+  std::uint64_t next_attempt_id_ = 1;
   DirectorStats stats_;
 
   // Observability handles (null while detached; owned by the registry).

@@ -1,5 +1,6 @@
 #include "fault/chaos_sensor.hpp"
 
+#include <memory>
 #include <utility>
 
 namespace netmon::fault {
@@ -77,17 +78,21 @@ void ChaosSensor::measure(const core::Path& path, core::Metric metric,
       done(core::MetricValue::failed(sim_.now()));
       return;
 
-    case Mode::kDelay:
+    case Mode::kDelay: {
+      // Shared, not moved, into the timer: an inner sensor that completes
+      // twice gets both completions delayed, as before.
+      auto shared = std::make_shared<const Done>(std::move(done));
       inner_.measure(path, metric,
-                     [this, path, metric, done = std::move(done)](
+                     [this, path, metric, shared = std::move(shared)](
                          const core::MetricValue& value) {
                        remember(path, metric, value);
                        ++stats_.delayed;
-                       sim_.schedule_in(extra_delay_, [done, value] {
-                         done(value);
+                       sim_.schedule_in(extra_delay_, [shared, value] {
+                         (*shared)(value);
                        });
                      });
       return;
+    }
   }
 }
 

@@ -44,7 +44,10 @@ void ResourceManager::senescence_scan() {
       for (core::Metric metric : config_.metrics) {
         const auto age = db.senescence(path, metric, now);
         if (age && *age > config_.senescence_bound) {
-          ++state.strikes[{state.active, client}];
+          const std::size_t cell =
+              state.active_index * state.clients.size() +
+              state.client_index.at(client);
+          set_cell(state, cell, state.cells[cell].strikes + 1, true);
           ++senescence_strikes_;
           struck = true;
           break;  // one strike per path per sweep, oldest metric wins
@@ -105,14 +108,34 @@ void ResourceManager::manage(ManagedApplication app,
   AppState state;
   state.app = std::move(app);
   state.active = initial_server;
+  for (net::IpAddr server : state.app.server_pool) {
+    if (state.server_index.emplace(server, state.servers.size()).second) {
+      state.servers.push_back(server);
+    }
+  }
+  for (net::IpAddr client : state.app.client_pool) {
+    auto [cit, fresh] =
+        state.client_index.emplace(client, state.clients.size());
+    if (fresh) {
+      state.clients.push_back(client);
+      state.client_weight.push_back(0);
+    }
+    ++state.client_weight[cit->second];
+  }
+  state.active_index = state.server_index.at(initial_server);
+  state.cells.assign(state.servers.size() * state.clients.size(), {});
+  state.failing.assign(state.servers.size(), 0);
   auto [it, inserted] = apps_.emplace(name, std::move(state));
   if (!inserted) {
     throw std::logic_error("ResourceManager: already managing " + name);
   }
-  it->second.request = director_.submit(
-      build_request(it->second.app),
-      [this, name](const core::PathMetricTuple& tuple) {
-        on_tuple(name, tuple);
+  // Map nodes are stable, and stop() cancels the request before erasing
+  // the state, so the callback may hold the state directly.
+  AppState* managed = &it->second;
+  managed->request = director_.submit(
+      build_request(managed->app),
+      [this, name, managed](const core::PathMetricTuple& tuple) {
+        on_tuple(name, *managed, tuple);
       });
   if (config_.senescence_bound.nanos() > 0 && !senescence_timer_.pending()) {
     senescence_timer_ = director_.simulator().schedule_periodic(
@@ -222,11 +245,8 @@ bool ResourceManager::trend_verdict(const Requirements& req,
   return bad;
 }
 
-void ResourceManager::on_tuple(const std::string& app_name,
+void ResourceManager::on_tuple(const std::string& app_name, AppState& state,
                                const core::PathMetricTuple& tuple) {
-  auto it = apps_.find(app_name);
-  if (it == apps_.end()) return;
-  AppState& state = it->second;
   ++tuples_consumed_;
 
   const core::SampleQuality quality = tuple.value.quality;
@@ -238,9 +258,6 @@ void ResourceManager::on_tuple(const std::string& app_name,
   const bool stale_bad =
       config_.stale_is_bad && quality == core::SampleQuality::kStale;
 
-  const net::IpAddr server = tuple.path.source().host;
-  const net::IpAddr client = tuple.path.destination().host;
-  int& strikes = state.strikes[{server, client}];
   bool bad = stale_bad || tuple_is_bad(state.app.requirements, tuple);
   // A valid performance sample may be re-judged by the window's tail
   // quantile; liveness evidence (reachability, failed or stale samples)
@@ -248,15 +265,66 @@ void ResourceManager::on_tuple(const std::string& app_name,
   if (!stale_bad && tuple.value.valid) {
     bad = trend_verdict(state.app.requirements, tuple, bad);
   }
-  if (bad) {
-    ++strikes;
-  } else if (tuple.metric == core::Metric::kReachability ||
-             tuple.metric == core::Metric::kThroughput) {
-    // Any passing liveness-bearing sample clears the path's strikes.
-    strikes = 0;
+  if (const std::optional<std::size_t> cell = cell_of(state, tuple)) {
+    int strikes = state.cells[*cell].strikes;
+    if (bad) {
+      ++strikes;
+    } else if (tuple.metric == core::Metric::kReachability ||
+               tuple.metric == core::Metric::kThroughput) {
+      // Any passing liveness-bearing sample clears the path's strikes.
+      strikes = 0;
+    }
+    set_cell(state, *cell, strikes, true);
   }
   maybe_reconfigure(state);
   if (tuple_observer_) tuple_observer_(app_name, tuple);
+}
+
+std::optional<std::size_t> ResourceManager::cell_of(
+    AppState& state, const core::PathMetricTuple& tuple) const {
+  const core::PathId id = tuple.path_id;
+  if (id < state.cell_of_path.size() && state.cell_of_path[id] != 0) {
+    return state.cell_of_path[id] - 1;
+  }
+  auto server = state.server_index.find(tuple.path.source().host);
+  auto client = state.client_index.find(tuple.path.destination().host);
+  if (server == state.server_index.end() ||
+      client == state.client_index.end()) {
+    return std::nullopt;
+  }
+  const std::size_t cell = server->second * state.clients.size() +
+                           client->second;
+  if (id != core::kInvalidPathId) {
+    if (id >= state.cell_of_path.size()) state.cell_of_path.resize(id + 1, 0);
+    state.cell_of_path[id] = cell + 1;
+  }
+  return cell;
+}
+
+void ResourceManager::set_cell(AppState& state, std::size_t cell, int strikes,
+                               bool held) const {
+  StrikeCell& c = state.cells[cell];
+  const bool was_failing = c.held && c.strikes >= config_.strikes;
+  const bool failing = held && strikes >= config_.strikes;
+  if (held != c.held) {
+    if (held) {
+      ++state.held_cells;
+    } else {
+      --state.held_cells;
+    }
+  }
+  c.strikes = strikes;
+  c.held = held;
+  if (failing != was_failing) {
+    const std::size_t server = cell / state.clients.size();
+    const std::size_t weight =
+        state.client_weight[cell % state.clients.size()];
+    if (failing) {
+      state.failing[server] += weight;
+    } else {
+      state.failing[server] -= weight;
+    }
+  }
 }
 
 int ResourceManager::path_strikes(const std::string& application,
@@ -264,13 +332,16 @@ int ResourceManager::path_strikes(const std::string& application,
                                   net::IpAddr client) const {
   auto it = apps_.find(application);
   if (it == apps_.end()) return 0;
-  auto sit = it->second.strikes.find({server, client});
-  return sit == it->second.strikes.end() ? 0 : sit->second;
+  const AppState& state = it->second;
+  auto s = state.server_index.find(server);
+  auto c = state.client_index.find(client);
+  if (s == state.server_index.end() || c == state.client_index.end()) return 0;
+  return state.cells[s->second * state.clients.size() + c->second].strikes;
 }
 
 std::size_t ResourceManager::strike_entries() const {
   std::size_t total = 0;
-  for (const auto& [name, state] : apps_) total += state.strikes.size();
+  for (const auto& [name, state] : apps_) total += state.held_cells;
   return total;
 }
 
@@ -298,37 +369,38 @@ double ResourceManager::failing_fraction(const std::string& application,
   auto it = apps_.find(application);
   if (it == apps_.end()) return 0.0;
   const AppState& state = it->second;
+  auto s = state.server_index.find(server);
+  if (s == state.server_index.end()) return 0.0;
+  return failing_fraction(state, s->second);
+}
+
+double ResourceManager::failing_fraction(const AppState& state,
+                                         std::size_t server) const {
   if (state.app.client_pool.empty()) return 0.0;
-  std::size_t failed = 0;
-  for (net::IpAddr client : state.app.client_pool) {
-    auto sit = state.strikes.find({server, client});
-    if (sit != state.strikes.end() && sit->second >= config_.strikes) {
-      ++failed;
-    }
-  }
-  return static_cast<double>(failed) /
+  return static_cast<double>(state.failing[server]) /
          static_cast<double>(state.app.client_pool.size());
 }
 
-std::optional<net::IpAddr> ResourceManager::pick_replacement(
+std::optional<std::size_t> ResourceManager::pick_replacement(
     const AppState& state) const {
   // Choose the pool member with the lowest failing fraction; ties go to
   // pool order. The active (failed) server is excluded.
-  std::optional<net::IpAddr> best;
+  std::optional<std::size_t> best;
   double best_fraction = 2.0;
   for (net::IpAddr candidate : state.app.server_pool) {
     if (candidate == state.active) continue;
-    const double fraction = failing_fraction(state.app.name, candidate);
+    const std::size_t index = state.server_index.at(candidate);
+    const double fraction = failing_fraction(state, index);
     if (fraction < best_fraction) {
       best_fraction = fraction;
-      best = candidate;
+      best = index;
     }
   }
   return best;
 }
 
 void ResourceManager::maybe_reconfigure(AppState& state) {
-  const double fraction = failing_fraction(state.app.name, state.active);
+  const double fraction = failing_fraction(state, state.active_index);
   if (fraction < config_.failure_fraction) return;
 
   auto replacement = pick_replacement(state);
@@ -341,29 +413,24 @@ void ResourceManager::maybe_reconfigure(AppState& state) {
   // not a reconfiguration, it is thrashing: under a monitor-wide outage
   // (every path striking) the pool members ping-pong forever. Hold position
   // until some member is observably better.
-  if (failing_fraction(state.app.name, *replacement) >= fraction) {
+  if (failing_fraction(state, *replacement) >= fraction) {
     NETMON_WARN("mgr", state.app.name,
                 ": active server degraded but no healthier replacement; "
                 "holding position");
     return;
   }
   const net::IpAddr old_server = state.active;
-  state.active = *replacement;
+  const std::size_t old_index = state.active_index;
+  state.active = state.servers[*replacement];
+  state.active_index = *replacement;
   ++reconfigurations_;
-  // Prune the server we are leaving: its (server, client) entries would
-  // otherwise accumulate forever across failovers (the map is keyed by
-  // every pool member ever active). Its standing restarts from zero if it
-  // ever becomes a candidate again.
-  for (auto sit = state.strikes.begin(); sit != state.strikes.end();) {
-    if (sit->first.first == old_server) {
-      sit = state.strikes.erase(sit);
-    } else {
-      ++sit;
-    }
-  }
-  // Give the new server a clean slate so a stale strike doesn't bounce us.
-  for (net::IpAddr client : state.app.client_pool) {
-    state.strikes[{state.active, client}] = 0;
+  // Release the server we are leaving: its standing restarts from zero if
+  // it ever becomes a candidate again. The new server gets a clean slate
+  // so a stale strike doesn't bounce us.
+  const std::size_t clients = state.clients.size();
+  for (std::size_t c = 0; c < clients; ++c) {
+    set_cell(state, old_index * clients + c, 0, false);
+    set_cell(state, state.active_index * clients + c, 0, true);
   }
   NETMON_INFO("mgr", state.app.name, ": reconfiguring ",
               old_server.to_string(), " -> ", state.active.to_string(),

@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/sensor_director.hpp"
@@ -171,23 +172,51 @@ class ResourceManager {
       bool upper, std::uint64_t* valid_samples = nullptr);
 
  private:
+  // Consecutive bad samples of one (server, client) path. A cell is held
+  // from the path's first sample (or strike) until its server is left by
+  // a reconfiguration; strike_entries() counts held cells.
+  struct StrikeCell {
+    int strikes = 0;
+    bool held = false;
+  };
   struct AppState {
     ManagedApplication app;
     net::IpAddr active;
+    std::size_t active_index = 0;
     core::SensorDirector::RequestId request = 0;
-    // (server, client) -> consecutive bad samples
-    std::map<std::pair<net::IpAddr, net::IpAddr>, int> strikes;
+    // Strikes as a dense grid over the distinct pool members, in pool
+    // order: cells[server * clients.size() + client]. Each server's count
+    // of failing clients (weighted by how often the client appears in
+    // client_pool) is kept current, so a verdict is O(1).
+    std::vector<net::IpAddr> servers;
+    std::vector<net::IpAddr> clients;
+    std::vector<std::size_t> client_weight;
+    std::unordered_map<net::IpAddr, std::size_t> server_index;
+    std::unordered_map<net::IpAddr, std::size_t> client_index;
+    std::vector<StrikeCell> cells;
+    std::vector<std::size_t> failing;
+    std::size_t held_cells = 0;
+    // PathId -> cell index + 1, resolved on the path's first tuple
+    // (0: unresolved).
+    std::vector<std::size_t> cell_of_path;
   };
 
-  void on_tuple(const std::string& app_name,
+  void on_tuple(const std::string& app_name, AppState& state,
                 const core::PathMetricTuple& tuple);
+  // Grid cell of a tuple's (server, client); nullopt when either end is
+  // outside the pools.
+  std::optional<std::size_t> cell_of(AppState& state,
+                                     const core::PathMetricTuple& tuple) const;
+  void set_cell(AppState& state, std::size_t cell, int strikes,
+                bool held) const;
+  double failing_fraction(const AppState& state, std::size_t server) const;
   bool tuple_is_bad(const Requirements& req,
                     const core::PathMetricTuple& tuple) const;
   bool trend_verdict(const Requirements& req,
                      const core::PathMetricTuple& tuple, bool last_sample_bad);
   void maybe_reconfigure(AppState& state);
   void senescence_scan();
-  std::optional<net::IpAddr> pick_replacement(const AppState& state) const;
+  std::optional<std::size_t> pick_replacement(const AppState& state) const;
   core::MonitorRequest build_request(const ManagedApplication& app) const;
 
   core::SensorDirector& director_;

@@ -61,17 +61,18 @@ void Link::try_transmit(int dir) {
   if (!frame) return;
 
   busy_[dir] = true;
-  const double bits = static_cast<double>(frame->size_bytes()) * 8.0;
+  const std::uint32_t bytes = frame->size_bytes();
+  const TrafficClass cls = frame->packet.traffic_class;
+  const double bits = static_cast<double>(bytes) * 8.0;
   const auto serialization = sim::Duration::seconds(bits / bandwidth_bps_);
   const std::uint64_t gen = generation_;
 
-  sim_.schedule_in(serialization, [this, dir, gen, f = *frame] {
+  sim_.schedule_in(serialization, [this, dir, gen, bytes, cls] {
     if (gen != generation_) return;  // link went down mid-transmission
     busy_[dir] = false;
-    ends_[dir]->note_transmitted(f);
-    octets_carried_ += f.size_bytes();
-    octets_by_class_[static_cast<std::size_t>(f.packet.traffic_class)] +=
-        f.size_bytes();
+    ends_[dir]->note_transmitted(bytes, cls);
+    octets_carried_ += bytes;
+    octets_by_class_[static_cast<std::size_t>(cls)] += bytes;
     try_transmit(dir);
   });
   // Fault injection (scripted loss/corruption/delay windows): the frame
@@ -79,8 +80,10 @@ void Link::try_transmit(int dir) {
   // or late in transit.
   const FaultVerdict verdict = apply_fault_hook(*frame);
   if (verdict.drop || verdict.corrupt) return;
+  const std::uint32_t slot = in_flight_.park(std::move(*frame));
   sim_.schedule_in(serialization + propagation_ + verdict.extra_delay,
-                   [this, dir, gen, f = *frame] {
+                   [this, dir, gen, slot] {
+    const Frame f = in_flight_.take(slot);
     if (gen != generation_) {
       ++frames_dropped_down_;
       return;

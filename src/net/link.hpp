@@ -65,6 +65,7 @@ class Link : public Medium {
   std::uint64_t octets_carried_ = 0;
   std::uint64_t frames_dropped_down_ = 0;
   std::array<std::uint64_t, kTrafficClassCount> octets_by_class_{};
+  ParkedFrames in_flight_;  // frames on the wire, awaiting delivery
   obs::Scope obs_;
 };
 

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -69,18 +68,19 @@ class Nic {
   bool enqueue(Frame frame);
 
   // Medium-side queue access.
-  bool has_queued() const { return !tx_queue_.empty(); }
+  bool has_queued() const { return tx_count_ != 0; }
   std::optional<Frame> dequeue();
   const Frame* peek() const;
   void drop_head();  // excessive-collision discard
-  std::size_t queue_depth() const { return tx_queue_.size(); }
+  std::size_t queue_depth() const { return tx_count_; }
   std::size_t queue_capacity() const { return tx_capacity_; }
 
   // Medium-side delivery; applies the address filter unless promiscuous.
   void deliver(const Frame& frame);
 
-  // Called by the medium when a frame has fully left this interface.
-  void note_transmitted(const Frame& frame);
+  // Called by the medium when a frame of `bytes` (Frame::size_bytes()) has
+  // fully left this interface.
+  void note_transmitted(std::uint32_t bytes, TrafficClass cls);
   void note_collision() { ++counters_.collisions; }
   void note_deferral() { ++counters_.deferrals; }
 
@@ -88,6 +88,8 @@ class Nic {
 
  private:
   bool accepts(const Frame& frame) const;
+  std::size_t ring_index(std::size_t offset) const;  // head + offset, wrapped
+  void pop_head();
 
   std::string name_;
   MacAddr mac_;
@@ -96,7 +98,13 @@ class Nic {
   bool up_ = true;
   bool promiscuous_ = false;
   std::size_t tx_capacity_;
-  std::deque<Frame> tx_queue_;
+  // Transmit FIFO as a ring over tx_ring_, grown by doubling up to
+  // tx_capacity_ the first time the queue gets that deep, then reused: a
+  // steady interface queues without allocating, and an idle one holds no
+  // frame storage at all.
+  std::vector<Frame> tx_ring_;
+  std::size_t tx_head_ = 0;
+  std::size_t tx_count_ = 0;
   Medium* medium_ = nullptr;
   FrameHandler handler_;
   std::vector<FrameHandler> taps_;

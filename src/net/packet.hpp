@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/address.hpp"
 
@@ -90,6 +92,38 @@ struct Frame {
     const std::uint32_t raw = packet.size_on_wire() + kFrameOverheadBytes;
     return raw < kMinFrameBytes ? kMinFrameBytes : raw;
   }
+};
+
+// Frames in transit inside a medium or switch, parked until the event that
+// hands them on fires. The event captures the 4-byte slot, not the frame:
+// a ~100-byte Frame capture would overflow the simulator's inline callback
+// buffer and cost a heap allocation plus payload reference-count traffic
+// per hop. Slots recycle LIFO, so a steady stream parks without allocating.
+class ParkedFrames {
+ public:
+  std::uint32_t park(Frame&& frame) {
+    if (free_.empty()) {
+      slots_.push_back(std::move(frame));
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(frame);
+    return slot;
+  }
+
+  // Moves the frame out (the slot keeps no payload reference) and frees the
+  // slot. Taking before delivering also means nothing references the pool
+  // while the receiver runs, so it may park more frames.
+  Frame take(std::uint32_t slot) {
+    Frame frame = std::move(slots_[slot]);
+    free_.push_back(slot);
+    return frame;
+  }
+
+ private:
+  std::vector<Frame> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace netmon::net

@@ -133,7 +133,7 @@ void SharedSegment::start_transmission(Nic& nic) {
       frame->packet.traffic_class)] += frame->size_bytes();
   if (frame->dst.is_broadcast()) ++stats_.broadcast_frames;
 
-  nic.note_transmitted(*frame);
+  nic.note_transmitted(frame->size_bytes(), frame->packet.traffic_class);
 
   // Fault injection: a dropped or corrupted frame jammed the medium for its
   // serialization time but no station receives it.
@@ -141,7 +141,9 @@ void SharedSegment::start_transmission(Nic& nic) {
   if (!verdict.drop && !verdict.corrupt) {
     const auto delivery = serialization + propagation_ + verdict.extra_delay;
     Nic* sender = &nic;
-    sim_.schedule_in(delivery, [this, sender, f = *frame] {
+    const std::uint32_t slot = in_flight_.park(std::move(*frame));
+    sim_.schedule_in(delivery, [this, sender, slot] {
+      const Frame f = in_flight_.take(slot);
       for (Nic* peer : nics_) {
         if (peer != sender) peer->deliver(f);
       }

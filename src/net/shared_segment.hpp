@@ -77,6 +77,7 @@ class SharedSegment : public Medium {
   std::unordered_map<Nic*, int> attempts_;
   std::unordered_map<Nic*, sim::TimePoint> backoff_until_;
   SegmentStats stats_;
+  ParkedFrames in_flight_;  // frames propagating to the other stations
   obs::Scope obs_;
 };
 

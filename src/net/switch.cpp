@@ -45,10 +45,10 @@ void Switch::handle_frame(Nic& in_port, const Frame& frame) {
 }
 
 void Switch::emit(Nic& out_port, const Frame& frame) {
-  sim_.schedule_in(forwarding_delay_,
-                   [&out_port, f = frame]() mutable {
-                     out_port.enqueue(std::move(f));
-                   });
+  const std::uint32_t slot = forwarding_.park(Frame(frame));
+  sim_.schedule_in(forwarding_delay_, [this, &out_port, slot] {
+    out_port.enqueue(forwarding_.take(slot));
+  });
 }
 
 }  // namespace netmon::net

@@ -60,6 +60,7 @@ class Switch {
   sim::Duration forwarding_delay_;
   std::vector<std::unique_ptr<Nic>> ports_;
   std::unordered_map<MacAddr, Nic*> mac_table_;
+  ParkedFrames forwarding_;  // frames inside the forwarding delay
   std::uint64_t frames_forwarded_ = 0;
   std::uint64_t frames_flooded_ = 0;
 };

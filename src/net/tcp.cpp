@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "net/host.hpp"
 #include "util/logging.hpp"
@@ -42,15 +43,29 @@ void TcpStack::listen(std::uint16_t port, AcceptHandler handler) {
 
 void TcpStack::stop_listening(std::uint16_t port) { listeners_.erase(port); }
 
-std::uint16_t TcpStack::allocate_port() {
-  // Ephemeral ports only need to be unique per (remote, local) tuple; a
-  // simple rolling counter suffices at simulation scale.
-  return next_ephemeral_++;
+std::uint16_t TcpStack::allocate_port(IpAddr dst, std::uint16_t dst_port) {
+  // A rolling counter over the ephemeral range that skips any port whose
+  // (remote, local) key is taken or that is listening here, so a new
+  // connection can never replace a live one in connections_.
+  constexpr std::uint32_t kRange = kEphemeralLast - kEphemeralFirst + 1;
+  for (std::uint32_t tried = 0; tried < kRange; ++tried) {
+    const std::uint16_t port = next_ephemeral_;
+    next_ephemeral_ = port == kEphemeralLast
+                          ? kEphemeralFirst
+                          : static_cast<std::uint16_t>(port + 1);
+    if (connections_.count(ConnKey{dst.raw(), dst_port, port}) == 0 &&
+        listeners_.count(port) == 0) {
+      return port;
+    }
+  }
+  throw std::runtime_error(host_.name() + ": TCP ephemeral ports to " +
+                           dst.to_string() + ":" + std::to_string(dst_port) +
+                           " exhausted");
 }
 
 std::shared_ptr<TcpConnection> TcpStack::connect(IpAddr dst,
                                                  std::uint16_t dst_port) {
-  const std::uint16_t local = allocate_port();
+  const std::uint16_t local = allocate_port(dst, dst_port);
   auto conn = std::shared_ptr<TcpConnection>(
       new TcpConnection(*this, dst, dst_port, local));
   connections_[ConnKey{dst.raw(), dst_port, local}] = conn;

@@ -178,7 +178,13 @@ class TcpStack {
   void listen(std::uint16_t port, AcceptHandler handler);
   void stop_listening(std::uint16_t port);
 
-  // Active open; the returned connection reports via its handlers.
+  // Ephemeral range for active opens.
+  static constexpr std::uint16_t kEphemeralFirst = 32768;
+  static constexpr std::uint16_t kEphemeralLast = 65535;
+
+  // Active open; the returned connection reports via its handlers. The
+  // local port is the next ephemeral port, wrapping inside the range, whose
+  // (remote, local) pair is free; throws when none is.
   std::shared_ptr<TcpConnection> connect(IpAddr dst, std::uint16_t dst_port);
 
   Host& host() { return host_; }
@@ -203,10 +209,10 @@ class TcpStack {
   void deliver(const Packet& packet);
   void send_packet(Packet packet) const;
   void remove(TcpConnection& conn);
-  std::uint16_t allocate_port();
+  std::uint16_t allocate_port(IpAddr dst, std::uint16_t dst_port);
 
   Host& host_;
-  std::uint16_t next_ephemeral_ = 32768;
+  std::uint16_t next_ephemeral_ = kEphemeralFirst;
   std::unordered_map<std::uint16_t, AcceptHandler> listeners_;
   std::unordered_map<ConnKey, std::shared_ptr<TcpConnection>, ConnKeyHash>
       connections_;

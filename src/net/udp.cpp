@@ -13,21 +13,34 @@ UdpStack::UdpStack(Host& host) : host_(host) {
 
 UdpSocket& UdpStack::bind(std::uint16_t port, UdpSocket::Handler handler) {
   if (port == 0) {
-    while (sockets_.count(next_ephemeral_) != 0) {
-      ++next_ephemeral_;
-      if (next_ephemeral_ == 0) next_ephemeral_ = 49152;
-    }
-    port = next_ephemeral_++;
-  }
-  if (sockets_.count(port) != 0) {
+    port = allocate_ephemeral();
+  } else if (sockets_.count(port) != 0) {
     throw std::logic_error(host_.name() + ": UDP port " +
                            std::to_string(port) + " already bound");
   }
-  auto socket = std::unique_ptr<UdpSocket>(new UdpSocket(*this, port));
-  socket->set_handler(std::move(handler));
-  auto [it, inserted] = sockets_.emplace(port, std::move(socket));
-  (void)inserted;
-  return *it->second;
+  if (spare_.empty()) {
+    auto socket = std::unique_ptr<UdpSocket>(new UdpSocket(*this, port));
+    socket->set_handler(std::move(handler));
+    return *sockets_.emplace(port, std::move(socket)).first->second;
+  }
+  SocketTable::node_type node = std::move(spare_.back());
+  spare_.pop_back();
+  node.key() = port;
+  node.mapped()->port_ = port;
+  node.mapped()->set_handler(std::move(handler));
+  return *sockets_.insert(std::move(node)).position->second;
+}
+
+std::uint16_t UdpStack::allocate_ephemeral() {
+  constexpr std::uint32_t kRange = kEphemeralLast - kEphemeralFirst + 1;
+  for (std::uint32_t tried = 0; tried < kRange; ++tried) {
+    const std::uint16_t port = next_ephemeral_;
+    next_ephemeral_ = port == kEphemeralLast
+                          ? kEphemeralFirst
+                          : static_cast<std::uint16_t>(port + 1);
+    if (sockets_.count(port) == 0) return port;
+  }
+  throw std::runtime_error(host_.name() + ": UDP ephemeral ports exhausted");
 }
 
 void UdpStack::deliver(const Packet& packet) {
@@ -45,7 +58,14 @@ void UdpStack::deliver(const Packet& packet) {
   }
 }
 
-void UdpStack::unbind(std::uint16_t port) { sockets_.erase(port); }
+void UdpStack::unbind(std::uint16_t port) {
+  SocketTable::node_type node = sockets_.extract(port);
+  if (node.empty()) return;
+  // Drop the handler's captures now, not when the socket is reused; a
+  // running handler is safe, deliver() invokes a copy.
+  node.mapped()->handler_ = nullptr;
+  spare_.push_back(std::move(node));
+}
 
 UdpSocket::~UdpSocket() = default;
 
@@ -66,7 +86,8 @@ bool UdpSocket::send_to(IpAddr dst, std::uint16_t dst_port,
 }
 
 void UdpSocket::close() {
-  // unbind() destroys this socket; nothing may touch members afterwards.
+  // unbind() recycles this socket for a later bind(); nothing may touch
+  // members afterwards.
   stack_->unbind(port_);
 }
 

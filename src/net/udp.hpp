@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.hpp"
 
@@ -55,8 +56,13 @@ class UdpStack {
  public:
   explicit UdpStack(Host& host);
 
-  // Binds a socket; port 0 picks an ephemeral port. Throws if the port is
-  // already bound.
+  // Ephemeral range (RFC 6335 dynamic ports).
+  static constexpr std::uint16_t kEphemeralFirst = 49152;
+  static constexpr std::uint16_t kEphemeralLast = 65535;
+
+  // Binds a socket; port 0 picks the next free ephemeral port, wrapping
+  // inside the range. Throws if the port is already bound or every
+  // ephemeral port is.
   UdpSocket& bind(std::uint16_t port, UdpSocket::Handler handler);
 
   const UdpCounters& counters() const { return counters_; }
@@ -64,12 +70,19 @@ class UdpStack {
 
  private:
   friend class UdpSocket;
+  using SocketTable =
+      std::unordered_map<std::uint16_t, std::unique_ptr<UdpSocket>>;
+
   void deliver(const Packet& packet);
   void unbind(std::uint16_t port);
+  std::uint16_t allocate_ephemeral();
 
   Host& host_;
-  std::uint16_t next_ephemeral_ = 49152;
-  std::unordered_map<std::uint16_t, std::unique_ptr<UdpSocket>> sockets_;
+  std::uint16_t next_ephemeral_ = kEphemeralFirst;
+  SocketTable sockets_;
+  // Closed sockets, still in their extracted table nodes: bind() re-keys
+  // and re-inserts one, so a probe's bind/close pair allocates nothing.
+  std::vector<SocketTable::node_type> spare_;
   UdpCounters counters_;
 };
 

@@ -7,11 +7,11 @@
 // against this probe in EXP-H.
 
 #include <cstdint>
-#include <functional>
 
 #include "net/host.hpp"
 #include "net/udp.hpp"
 #include "sim/simulator.hpp"
+#include "util/function.hpp"
 
 namespace netmon::nttcp {
 
@@ -49,7 +49,7 @@ class ReachabilityProbe {
     net::TrafficClass traffic_class = net::TrafficClass::kMonitoring;
   };
 
-  using Callback = std::function<void(const ReachabilityResult&)>;
+  using Callback = util::SmallFunction<void(const ReachabilityResult&)>;
 
   ReachabilityProbe(net::Host& host, net::IpAddr target, Config config,
                     Callback done);

@@ -5,8 +5,16 @@
 // (and are nothrow-move-constructible), which makes it suitable for the
 // simulator's per-event hot path: a lambda capturing `this` plus a few words
 // is stored in place. Larger callables transparently fall back to the heap.
+// Like std::function, the call operator is const and invokes the target as
+// a non-const lvalue, so a `done(v)` through a const reference or from a
+// non-mutable lambda's capture compiles unchanged. An inline target that is
+// trivially copyable and destructible (a lambda capturing `this`, indices
+// and raw pointers) has no manager: moving it copies the buffer and
+// destroying it does nothing, so handing an event callback along the
+// scheduling path costs no indirect calls.
 
 #include <cstddef>
+#include <cstring>
 #include <functional>  // std::bad_function_call
 #include <new>
 #include <type_traits>
@@ -66,7 +74,7 @@ class SmallFunction<R(Args...), InlineBytes> {
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
-  R operator()(Args... args) {
+  R operator()(Args... args) const {
     if (invoke_ == nullptr) throw std::bad_function_call();
     return invoke_(&storage_, std::forward<Args>(args)...);
   }
@@ -82,6 +90,12 @@ class SmallFunction<R(Args...), InlineBytes> {
     return sizeof(F) <= InlineBytes &&
            alignof(F) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<F>;
+  }
+
+  template <class F>
+  static constexpr bool trivially_relocatable() {
+    return std::is_trivially_copyable_v<F> &&
+           std::is_trivially_destructible_v<F>;
   }
 
   template <class F, bool Inline>
@@ -116,7 +130,8 @@ class SmallFunction<R(Args...), InlineBytes> {
     if constexpr (fits_inline<F>()) {
       ::new (&storage_) F(std::forward<Arg>(f));
       invoke_ = &Vtable<F, true>::invoke;
-      manage_ = &Vtable<F, true>::manage;
+      manage_ = trivially_relocatable<F>() ? nullptr
+                                           : &Vtable<F, true>::manage;
     } else {
       ::new (&storage_) (F*)(new F(std::forward<Arg>(f)));
       invoke_ = &Vtable<F, false>::invoke;
@@ -126,7 +141,11 @@ class SmallFunction<R(Args...), InlineBytes> {
 
   void move_from(SmallFunction& other) noexcept {
     if (other.invoke_ == nullptr) return;
-    other.manage_(Op::kMoveTo, &other.storage_, &storage_);
+    if (other.manage_ == nullptr) {
+      std::memcpy(storage_, other.storage_, InlineBytes);
+    } else {
+      other.manage_(Op::kMoveTo, &other.storage_, &storage_);
+    }
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.invoke_ = nullptr;
@@ -135,15 +154,17 @@ class SmallFunction<R(Args...), InlineBytes> {
 
   void reset() {
     if (invoke_ != nullptr) {
-      manage_(Op::kDestroy, &storage_, nullptr);
+      if (manage_ != nullptr) manage_(Op::kDestroy, &storage_, nullptr);
       invoke_ = nullptr;
       manage_ = nullptr;
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[InlineBytes];
+  // Mutable: the const call operator invokes the stored target non-const,
+  // as std::function does.
+  alignas(std::max_align_t) mutable unsigned char storage_[InlineBytes];
   Invoke invoke_ = nullptr;
-  Manage manage_ = nullptr;
+  Manage manage_ = nullptr;  // null for a trivially relocatable target
 };
 
 }  // namespace netmon::util

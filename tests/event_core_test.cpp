@@ -378,6 +378,34 @@ TEST(SmallFunction, DestroysCaptureExactlyOnce) {
   EXPECT_TRUE(observer.expired());
 }
 
+TEST(SmallFunction, ConstCallInvokesMutableTarget) {
+  // Like std::function: a const wrapper (or a capture inside a non-mutable
+  // lambda) still runs a mutable target, whose state persists across calls.
+  const util::SmallFunction<int(), 48> f([n = 0]() mutable { return ++n; });
+  EXPECT_EQ(f(), 1);
+  EXPECT_EQ(f(), 2);
+  util::SmallFunction<int(int), 48> g([](int v) { return v + 1; });
+  auto forward = [g = std::move(g)](int v) { return g(v); };  // const capture
+  EXPECT_EQ(forward(41), 42);
+}
+
+TEST(SmallFunction, ConstCallOnHeapFallback) {
+  std::array<std::uint64_t, 16> big{};  // exceeds the 16-byte inline buffer
+  big[3] = 40;
+  const util::SmallFunction<std::uint64_t(std::uint64_t), 16> f(
+      [big, calls = std::uint64_t{0}](std::uint64_t v) mutable {
+        return big[3] + v + ++calls;
+      });
+  EXPECT_EQ(f(1), 42u);
+  EXPECT_EQ(f(1), 43u);  // the heap-held target keeps its state
+}
+
+TEST(SmallFunction, ConstCallOnEmptyThrows) {
+  const util::SmallFunction<void(), 48> empty(nullptr);
+  EXPECT_FALSE(static_cast<bool>(empty));
+  EXPECT_THROW(empty(), std::bad_function_call);
+}
+
 // ---------------------------------------------------------------------------
 // Steady-state periodic dispatch really is a fixed point (no queue growth).
 

@@ -493,5 +493,83 @@ TEST(TrendBreaker, InvalidTrendConfigRejected) {
   EXPECT_EQ(ok.trend_overrides(), 0u);
 }
 
+// --- strike grid ---------------------------------------------------------------
+
+// Reachability that fails on a fixed set of (server, client) pairs,
+// completing 1 ms after each request.
+class PairReachSensor : public core::NetworkSensor {
+ public:
+  explicit PairReachSensor(sim::Simulator& sim) : sim_(sim) {}
+  std::string name() const override { return "pair-reach"; }
+  bool supports(core::Metric m) const override {
+    return m == core::Metric::kReachability;
+  }
+  void measure(const core::Path& path, core::Metric, Done done) override {
+    const bool up = !(path.source().host == dead_server &&
+                      path.destination().host == dead_client);
+    sim_.schedule_in(Duration::ms(1), [this, up, done = std::move(done)] {
+      done(core::MetricValue::of(up ? 1.0 : 0.0, sim_.now()));
+    });
+  }
+
+  net::IpAddr dead_server;
+  net::IpAddr dead_client;
+
+ private:
+  sim::Simulator& sim_;
+};
+
+TEST(StrikeGrid, DuplicatePoolMembersWeighLikeThePoolAndEntriesStayBounded) {
+  // The failing fraction is a share of client_pool as listed, so a client
+  // named twice weighs twice: one dead path to it is half of a 4-entry
+  // pool and fails the server over. Strike entries stay one per distinct
+  // (server, client) pair.
+  sim::Simulator sim;
+  core::SensorDirector director(sim, 1);
+  PairReachSensor sensor(sim);
+  director.register_sensor(core::Metric::kReachability, &sensor);
+  const net::IpAddr s1(10, 0, 0, 1), s2(10, 0, 0, 2);
+  const net::IpAddr c1(10, 0, 1, 1), c2(10, 0, 1, 2), c3(10, 0, 1, 3);
+  sensor.dead_server = s1;
+  sensor.dead_client = c2;
+
+  ManagedApplication app;
+  app.name = "dup";
+  app.server_pool = {s1, s2, s1};
+  app.client_pool = {c1, c2, c2, c3};
+  app.port = 7;
+  ResourceManager::Config cfg;
+  cfg.metrics = {core::Metric::kReachability};
+  cfg.strikes = 1;
+  cfg.failure_fraction = 0.5;
+  ResourceManager manager(director, cfg);
+  std::vector<ReconfigurationEvent> events;
+  manager.set_reconfiguration_callback(
+      [&](const ReconfigurationEvent& e) { events.push_back(e); });
+  manager.manage(app, s1);
+  sim.run_for(Duration::ms(200));
+
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].old_server, s1);
+  EXPECT_EQ(events[0].new_server, s2);
+  EXPECT_EQ(events[0].reason, "failing fraction 0.500000");
+  EXPECT_EQ(manager.active_server("dup"), s2);
+  // s1 keeps being probed (the whole pool matrix is monitored) and its
+  // dead path re-strikes, weighted twice; s1 is no longer active, so
+  // nothing moves.
+  EXPECT_DOUBLE_EQ(manager.failing_fraction("dup", s1), 0.5);
+  EXPECT_DOUBLE_EQ(manager.failing_fraction("dup", s2), 0.0);
+  EXPECT_GE(manager.path_strikes("dup", s1, c2), 1);
+  EXPECT_EQ(manager.path_strikes("dup", s2, c2), 0);
+  EXPECT_EQ(manager.path_strikes("dup", net::IpAddr(10, 9, 9, 9), c2), 0);
+  EXPECT_DOUBLE_EQ(manager.failing_fraction("dup", net::IpAddr(10, 9, 9, 9)),
+                   0.0);
+  EXPECT_EQ(manager.strike_entries(), 6u);  // 2 servers x 3 clients
+  EXPECT_EQ(manager.tuples_consumed(), director.stats().tuples_reported);
+
+  manager.stop("dup");
+  EXPECT_EQ(manager.strike_entries(), 0u);
+}
+
 }  // namespace
 }  // namespace netmon::mgr

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -8,6 +10,7 @@
 #include "apps/fabric.hpp"
 #include "apps/testbed.hpp"
 #include "apps/traffic.hpp"
+#include "net/tcp.hpp"
 #include "net/topology.hpp"
 #include "net/udp.hpp"
 
@@ -773,6 +776,160 @@ TEST(Udp, NoPortCounterIncrements) {
   sock.send_to(IpAddr(10, 0, 0, 2), 9999, 10, nullptr, TrafficClass::kOther);
   sim.run();
   EXPECT_EQ(h2.udp().counters().no_ports, 1u);
+}
+
+// --- ephemeral port allocation ----------------------------------------------
+
+// Regression: bind(0) post-incremented a uint16_t counter, so after 65535 it
+// bound port 0 and then walked the well-known and registered ranges (40,000
+// bind/close cycles gave port 0 once and 23,616 ports below 49152).
+TEST(EphemeralPorts, UdpWrapsInsideItsRangeAndSkipsBoundPorts) {
+  sim::Simulator sim;
+  Network network(sim, util::Rng(1));
+  auto& h = network.add_host("h");
+  const std::uint16_t pinned = 49160;
+  h.udp().bind(pinned, nullptr);
+  std::size_t outside = 0;
+  std::size_t reused_pinned = 0;
+  std::size_t wraps = 0;
+  std::uint16_t previous = 0;
+  for (int i = 0; i < 40'000; ++i) {
+    auto& s = h.udp().bind(0, nullptr);
+    const std::uint16_t port = s.port();
+    if (port < UdpStack::kEphemeralFirst) ++outside;
+    if (port == pinned) ++reused_pinned;
+    if (port < previous) ++wraps;
+    previous = port;
+    s.close();
+  }
+  EXPECT_EQ(outside, 0u);
+  EXPECT_EQ(reused_pinned, 0u);
+  EXPECT_EQ(wraps, 2u);  // 40,000 binds over a 16,383-port cycle
+}
+
+TEST(EphemeralPorts, UdpExhaustionThrowsInsteadOfLeavingTheRange) {
+  sim::Simulator sim;
+  Network network(sim, util::Rng(1));
+  auto& h = network.add_host("h");
+  std::set<std::uint16_t> ports;
+  const int range = UdpStack::kEphemeralLast - UdpStack::kEphemeralFirst + 1;
+  for (int i = 0; i < range; ++i) ports.insert(h.udp().bind(0, nullptr).port());
+  EXPECT_EQ(ports.size(), static_cast<std::size_t>(range));
+  EXPECT_EQ(*ports.begin(), UdpStack::kEphemeralFirst);
+  EXPECT_EQ(*ports.rbegin(), UdpStack::kEphemeralLast);
+  EXPECT_THROW(h.udp().bind(0, nullptr), std::runtime_error);
+}
+
+// Regression: the TCP counter wrapped the same way, and a new connection
+// whose (remote, local) key collided replaced the live one in the
+// connection table.
+TEST(EphemeralPorts, TcpWrapsInsideItsRangeAndNeverReplacesALiveConnection) {
+  sim::Simulator sim;
+  Network network(sim, util::Rng(1));
+  auto& h = network.add_host("h");  // no routes: segments go nowhere
+  const IpAddr peer(10, 0, 0, 9);
+  auto live = h.tcp().connect(peer, 80);
+  const std::uint16_t live_port = live->local_port();
+  std::size_t outside = 0;
+  std::size_t collisions = 0;
+  for (int i = 0; i < 40'000; ++i) {
+    auto conn = h.tcp().connect(peer, 80);
+    if (conn->local_port() < TcpStack::kEphemeralFirst) ++outside;
+    if (conn->local_port() == live_port) ++collisions;
+    conn->abort();  // removes exactly its own table entry
+  }
+  EXPECT_EQ(outside, 0u);
+  EXPECT_EQ(collisions, 0u);
+  EXPECT_EQ(h.tcp().active_connections(), 1u);  // the live one survived
+}
+
+// Closed sockets are recycled: a later bind reuses one without allocating,
+// and closing drops the handler's captures at once.
+TEST(Udp, ClosedSocketReleasesItsHandlerAndIsReboundFresh) {
+  sim::Simulator sim;
+  Network network(sim, util::Rng(1));
+  auto& seg = network.add_segment("lan", 10e6);
+  auto& h1 = network.add_host("h1");
+  auto& h2 = network.add_host("h2");
+  network.attach(h1, seg, IpAddr(10, 0, 0, 1), 24);
+  network.attach(h2, seg, IpAddr(10, 0, 0, 2), 24);
+  network.auto_route();
+  auto token = std::make_shared<int>(0);
+  auto& first = h2.udp().bind(7000, [token](const Packet&) { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  first.close();
+  EXPECT_EQ(token.use_count(), 1);
+
+  int received = 0;
+  auto& second = h2.udp().bind(7001, [&received](const Packet&) { ++received; });
+  EXPECT_EQ(second.port(), 7001);
+  auto& tx = h1.udp().bind(0, nullptr);
+  tx.send_to(IpAddr(10, 0, 0, 2), 7000, 10, nullptr, TrafficClass::kOther);
+  tx.send_to(IpAddr(10, 0, 0, 2), 7001, 10, nullptr, TrafficClass::kOther);
+  sim.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(*token, 0);
+  EXPECT_EQ(h2.udp().counters().no_ports, 1u);
+}
+
+// A socket may close itself from inside its own handler and a new bind may
+// recycle it right away (a reachability probe does both per reply): the
+// running handler must finish intact.
+TEST(Udp, SocketClosedAndRecycledInsideItsOwnHandler) {
+  sim::Simulator sim;
+  Network network(sim, util::Rng(1));
+  auto& seg = network.add_segment("lan", 10e6);
+  auto& h1 = network.add_host("h1");
+  auto& h2 = network.add_host("h2");
+  network.attach(h1, seg, IpAddr(10, 0, 0, 1), 24);
+  network.attach(h2, seg, IpAddr(10, 0, 0, 2), 24);
+  network.auto_route();
+  std::vector<std::uint16_t> handled;
+  UdpSocket* rx = nullptr;
+  std::function<void(const Packet&)> handler = [&](const Packet& p) {
+    const std::uint16_t port = rx->port();
+    rx->close();
+    rx = &h2.udp().bind(0, handler);  // reuses the socket being run
+    handled.push_back(port);
+    EXPECT_EQ(p.dst_port, port);
+  };
+  rx = &h2.udp().bind(0, handler);
+  auto& tx = h1.udp().bind(0, nullptr);
+  for (int i = 0; i < 3; ++i) {
+    tx.send_to(IpAddr(10, 0, 0, 2), rx->port(), 10, nullptr,
+               TrafficClass::kOther);
+    sim.run();
+  }
+  ASSERT_EQ(handled.size(), 3u);
+  EXPECT_NE(handled[0], handled[1]);
+}
+
+// --- transmit ring -------------------------------------------------------------
+
+TEST_F(P2PFixture, TransmitRingKeepsFifoOrderAcrossGrowthAndWrap) {
+  // Bursts of 1-12 frames against a link that drains ~7 per step: the
+  // backlog grows the ring past its initial size and its head wraps while
+  // frames are queued. Packet ids are assigned in send order, so FIFO
+  // delivery means ascending ids with none lost.
+  std::vector<std::uint64_t> seen;
+  b->udp().bind(7000, [&](const Packet& p) { seen.push_back(p.id); });
+  auto& sock = a->udp().bind(0, nullptr);
+  std::size_t sent = 0;
+  for (int step = 0; step < 60; ++step) {
+    const int burst = 1 + (step * 5) % 12;
+    for (int i = 0; i < burst; ++i) {
+      sock.send_to(IpAddr(10, 0, 0, 2), 7000, 200, nullptr,
+                   TrafficClass::kApplication);
+      ++sent;
+    }
+    sim.run_for(Duration::us(1500));
+  }
+  sim.run();
+  EXPECT_EQ(network.nic_of(IpAddr(10, 0, 0, 1))->counters().out_drops, 0u);
+  ASSERT_EQ(seen.size(), sent);
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_EQ(std::set<std::uint64_t>(seen.begin(), seen.end()).size(),
+            seen.size());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "apps/testbed.hpp"
 #include "core/scalable_monitor.hpp"
@@ -134,6 +135,121 @@ TEST(Sequencer, DoneOutlivingSequencerIsNoOp) {
   }
   saved();          // sequencer is gone; must not touch freed memory
   saved = nullptr;  // destruction after death must be a no-op too
+}
+
+// --- Done handle contract (DESIGN.md §16) -------------------------------------
+
+TEST(DoneHandle, IsPointerSized) {
+  // A Done plus two words must fit sim::Callback's 48-byte inline buffer.
+  static_assert(sizeof(TestSequencer::Done) <= 32);
+  EXPECT_LE(sizeof(TestSequencer::Done), sizeof(void*));
+}
+
+TEST(DoneHandle, CopiesShareOneCompletion) {
+  TestSequencer seq(1);
+  TestSequencer::Done a;
+  seq.enqueue([&](TestSequencer::Done done) { a = std::move(done); });
+  const TestSequencer::Done b = a;  // copy-construct
+  TestSequencer::Done c;
+  c = b;  // copy-assign
+  EXPECT_TRUE(a && b && c);
+
+  b();  // const call through any copy releases the lane once
+  EXPECT_EQ(seq.completed(), 1u);
+  EXPECT_EQ(seq.in_flight(), 0u);
+  a();
+  c();
+  EXPECT_EQ(seq.completed(), 1u);
+  EXPECT_EQ(seq.double_dones(), 2u);
+
+  a = nullptr;
+  c = nullptr;  // the completed cell is not "abandoned" when copies drop
+  EXPECT_EQ(seq.abandoned(), 0u);
+  EXPECT_NO_THROW(seq.check_consistency());
+}
+
+TEST(DoneHandle, MovedFromHandleIsEmptyAndInert) {
+  TestSequencer seq(1);
+  TestSequencer::Done a;
+  seq.enqueue([&](TestSequencer::Done done) { a = std::move(done); });
+  TestSequencer::Done b(std::move(a));
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): tested on purpose
+  EXPECT_TRUE(b);
+  a();  // empty handle: no-op, not a double done
+  EXPECT_EQ(seq.in_flight(), 1u);
+  EXPECT_EQ(seq.double_dones(), 0u);
+
+  TestSequencer::Done c;
+  c = std::move(b);  // move-assign keeps the one reference
+  c();
+  EXPECT_EQ(seq.completed(), 1u);
+  EXPECT_EQ(seq.double_dones(), 0u);
+  EXPECT_EQ(seq.abandoned(), 0u);
+}
+
+TEST(DoneHandle, AbandonsOnlyWhenTheLastCopyDrops) {
+  TestSequencer seq(1);
+  std::vector<TestSequencer::Done> copies;
+  bool next_ran = false;
+  seq.enqueue([&](TestSequencer::Done done) {
+    copies.assign(3, done);  // three copies plus the parameter
+  });
+  seq.enqueue([&](TestSequencer::Done done) {
+    next_ran = true;
+    done();
+  });
+  EXPECT_EQ(seq.in_flight(), 1u);
+  copies.pop_back();
+  copies.pop_back();
+  EXPECT_EQ(seq.in_flight(), 1u);  // one copy still holds the lane
+  EXPECT_EQ(seq.abandoned(), 0u);
+  EXPECT_FALSE(next_ran);
+  copies.clear();  // last copy dropped uncalled
+  EXPECT_EQ(seq.abandoned(), 1u);
+  EXPECT_TRUE(next_ran);
+  EXPECT_EQ(seq.completed(), 1u);
+  EXPECT_NO_THROW(seq.check_consistency());
+}
+
+TEST(DoneHandle, ReusedCellsKeepDoubleDonesApart) {
+  // Cells recycle once every copy is gone: a stale double done must still
+  // count against its own (finished) cell, never release a later task.
+  TestSequencer seq(1);
+  TestSequencer::Done first;
+  seq.enqueue([&](TestSequencer::Done done) { first = std::move(done); });
+  first();
+  TestSequencer::Done second;
+  seq.enqueue([&](TestSequencer::Done done) { second = std::move(done); });
+  first();  // stale: counted, the second task keeps its lane
+  EXPECT_EQ(seq.double_dones(), 1u);
+  EXPECT_EQ(seq.in_flight(), 1u);
+  first = nullptr;
+  EXPECT_EQ(seq.in_flight(), 1u);
+  EXPECT_EQ(seq.abandoned(), 0u);
+  second();
+  EXPECT_EQ(seq.completed(), 2u);
+}
+
+TEST(DoneHandle, CopiesOutlivingTheSchedulerAreNoOps) {
+  std::vector<TestSequencer::Done> called;
+  std::vector<TestSequencer::Done> uncalled;
+  {
+    TestSequencer seq(2);
+    seq.enqueue([&](TestSequencer::Done done) {
+      done();
+      called.assign(2, done);
+    });
+    seq.enqueue([&](TestSequencer::Done done) { uncalled.assign(2, done); });
+    EXPECT_EQ(seq.in_flight(), 1u);
+  }
+  // Invoking or destroying copies after the scheduler died must touch
+  // nothing (the sanitize preset checks the memory side).
+  for (const auto& d : called) d();
+  for (const auto& d : uncalled) d();
+  const TestSequencer::Done extra = uncalled.front();
+  called.clear();
+  uncalled.clear();
+  extra();
 }
 
 // --- scripted sensor ---------------------------------------------------------

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "util/backoff.hpp"
+#include "util/ref_pool.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -229,6 +232,88 @@ TEST(Backoff, DoublesToCapAndJitterStaysBounded) {
             jittered_backoff(base, cap, 3, 7).nanos());
   EXPECT_NE(jittered_backoff(base, cap, 3, 7).nanos(),
             jittered_backoff(base, cap, 3, 8).nanos());
+}
+
+// --- RefPool -----------------------------------------------------------------
+
+struct Tracked {
+  int value = 0;
+  std::shared_ptr<int> held;  // reset when the slot recycles
+};
+
+int g_last_ref_hook_calls = 0;
+int g_last_ref_value = -1;
+void count_last_ref(Tracked& t) {
+  ++g_last_ref_hook_calls;
+  g_last_ref_value = t.value;  // the value before the slot resets
+}
+
+TEST(RefPool, CopiesShareASlotAndTheLastDropRecyclesIt) {
+  g_last_ref_hook_calls = 0;
+  RefPool<Tracked> pool(&count_last_ref);
+  auto token = std::make_shared<int>(1);
+  RefPool<Tracked>::Ref a = pool.acquire();
+  a->value = 7;
+  a->held = token;
+  Tracked* const slot = a.get();
+  RefPool<Tracked>::Ref b = a;
+  EXPECT_EQ(b.get(), slot);
+  EXPECT_EQ(pool.live(), 1u);
+  a.reset();
+  EXPECT_EQ(g_last_ref_hook_calls, 0);
+  EXPECT_EQ(token.use_count(), 2);
+  b = RefPool<Tracked>::Ref();  // last reference
+  EXPECT_EQ(g_last_ref_hook_calls, 1);
+  EXPECT_EQ(g_last_ref_value, 7);
+  EXPECT_EQ(token.use_count(), 1);  // value reset released the capture
+  EXPECT_EQ(pool.live(), 0u);
+
+  RefPool<Tracked>::Ref c = pool.acquire();  // LIFO reuse, fresh value
+  EXPECT_EQ(c.get(), slot);
+  EXPECT_EQ(c->value, 0);
+  EXPECT_EQ(c->held, nullptr);
+}
+
+TEST(RefPool, SlotsStayPutAcrossGrowth) {
+  RefPool<Tracked> pool;
+  std::vector<RefPool<Tracked>::Ref> refs;
+  std::vector<Tracked*> addresses;
+  for (int i = 0; i < 200; ++i) {  // several chunks
+    refs.push_back(pool.acquire());
+    refs.back()->value = i;
+    addresses.push_back(refs.back().get());
+  }
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(refs[static_cast<std::size_t>(i)].get(),
+              addresses[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(refs[static_cast<std::size_t>(i)]->value, i);
+  }
+  EXPECT_EQ(pool.live(), 200u);
+}
+
+TEST(RefPool, HandlesOutliveTheirPool) {
+  g_last_ref_hook_calls = 0;
+  RefPool<Tracked>::Ref survivor;
+  auto token = std::make_shared<int>(1);
+  {
+    RefPool<Tracked> pool(&count_last_ref);
+    survivor = pool.acquire();
+    survivor->value = 7;
+    survivor->held = token;
+    RefPool<Tracked>::Ref dropped = pool.acquire();
+    dropped->value = 7;
+    EXPECT_TRUE(survivor.pool_alive());
+  }
+  EXPECT_EQ(g_last_ref_hook_calls, 1);  // `dropped`, while the pool lived
+  EXPECT_FALSE(survivor.pool_alive());
+  EXPECT_EQ(survivor->value, 7);  // storage stays valid for the handle
+  RefPool<Tracked>::Ref copy = survivor;
+  survivor.reset();
+  copy.reset();  // last handle frees the orphaned storage, no hook
+  EXPECT_EQ(g_last_ref_hook_calls, 1);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_FALSE(copy.pool_alive());
+  EXPECT_FALSE(static_cast<bool>(copy));
 }
 
 TEST(TextTable, RendersAlignedColumns) {
