@@ -77,8 +77,8 @@ struct Scenario {
       auto last = db.last_known(pr.path, core::Metric::kThroughput);
       auto sen = db.senescence(pr.path, core::Metric::kThroughput, sim.now());
       if (sen) age.add(sen->to_seconds());
-      if (last && last->value.value > 0) {
-        err.add(std::abs(last->value.value - kAppRateBps) / kAppRateBps);
+      if (last && last->value > 0) {
+        err.add(std::abs(last->value - kAppRateBps) / kAppRateBps);
       } else {
         err.add(1.0);  // never measured = 100% error
       }

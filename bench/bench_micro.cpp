@@ -329,7 +329,7 @@ void BM_TieredIngest(benchmark::State& state) {
   config.rollup_factor = 8;
   config.tiers = 3;
   config.max_pages = 256;  // 64 series x 3 open pages + churn headroom
-  core::MeasurementDatabase db(/*history_depth=*/2, config);
+  core::MeasurementDatabase db(config);
   std::vector<core::PathId> ids;
   for (int i = 0; i < 64; ++i) {
     ids.push_back(db.id_of(core::Path(
@@ -360,7 +360,7 @@ void BM_RangeQuery(benchmark::State& state) {
   config.rollup_factor = 8;
   config.tiers = 3;
   config.max_pages = 4096;  // retains the full series: query cost only
-  core::MeasurementDatabase db(/*history_depth=*/2, config);
+  core::MeasurementDatabase db(config);
   const core::PathId id = db.id_of(core::Path(
       core::ProcessEndpoint{"s", net::IpAddr(10, 4, 0, 1), 1},
       core::ProcessEndpoint{"d", net::IpAddr(10, 4, 0, 2), 1}));

@@ -197,8 +197,7 @@ SensorDirector::ProbeProfiler make_route_profiler(
 HighFidelityMonitor::HighFidelityMonitor(net::Network& network, Config config)
     : sensor_(network, config.probe, config.reach),
       director_(network.simulator(), config.max_concurrent,
-                config.supervision, config.history_depth,
-                std::move(config.storage)) {
+                config.supervision, std::move(config.storage)) {
   director_.register_sensor(Metric::kThroughput, &sensor_);
   director_.register_sensor(Metric::kOneWayLatency, &sensor_);
   director_.register_sensor(Metric::kReachability, &sensor_);

@@ -126,8 +126,7 @@ class HighFidelityMonitor {
     // (make_route_profiler); set false to supply a custom profiler via
     // director().set_probe_profiler().
     bool auto_profile = true;
-    // Samples retained per (path, metric) series. The 10k-path fabrics
-    // multiply this by C·S·metrics — drop it when soaking large matrices.
+    // Ignored; kept for perfbench/src/wl_fabric.cpp.
     std::size_t history_depth = 64;
     // Tiered storage engine under the database (DESIGN.md §13); the default
     // keeps it enabled with the stock page/tier geometry.

@@ -7,9 +7,7 @@ PathId MeasurementDatabase::id_of(const Path& path) {
       ids_.try_emplace(path, static_cast<PathId>(paths_.size()));
   if (inserted) {
     paths_.push_back(&it->first);  // map nodes are stable
-    for (std::size_t m = 0; m < kMetricCount; ++m) {
-      series_.emplace_back(history_depth_);
-    }
+    series_.resize(series_.size() + kMetricCount);
   }
   return it->second;
 }
@@ -21,24 +19,9 @@ PathId MeasurementDatabase::find(const Path& path) const {
 
 void MeasurementDatabase::record(PathId id, Metric metric,
                                  const MetricValue& value) {
-  Series& series = series_[slot(id, metric)];
-  if (series.history.empty()) {
-    ++tracked_series_;
-  } else if constexpr (obs::kCompiledIn) {
-    if (obs_interval_ != nullptr) {
-      // Gap since the previous sample of this series: the measured
-      // senescence floor the paper's C·S·T bound must dominate.
-      obs_interval_->observe(static_cast<double>(
-          (value.measured_at - series.history.newest().value.measured_at)
-              .nanos()));
-    }
-  }
-  const Measurement m{value};
-  series.history.push(m);
-  if (value.valid) series.last_valid = m;
-  ++records_written_;
-  // The tiered store rides alongside the ring/last-known fast path and never
-  // feeds back into it: current/last_known stay bit-identical with tiers on.
+  record_current(id, metric, value);
+  // The tiered store rides beside the two fields and never feeds back into
+  // them: current/last_known stay bit-identical with tiers on or off.
   if (store_.enabled()) {
     store_.record(static_cast<std::uint32_t>(slot(id, metric)),
                   value.measured_at.nanos(), value.value, value.valid);
@@ -49,28 +32,36 @@ void MeasurementDatabase::record(PathId id, Metric metric,
 void MeasurementDatabase::record_current(PathId id, Metric metric,
                                          const MetricValue& value) {
   Series& series = series_[slot(id, metric)];
-  if (series.history.empty()) ++tracked_series_;
-  const Measurement m{value};
-  series.history.push(m);
-  if (value.valid) series.last_valid = m;
+  if (!series.newest) {
+    ++tracked_series_;
+  } else if constexpr (obs::kCompiledIn) {
+    if (obs_interval_ != nullptr) {
+      // Gap since the previous sample of this series: the measured
+      // senescence floor the paper's C·S·T bound must dominate.
+      obs_interval_->observe(static_cast<double>(
+          (value.measured_at - series.newest->measured_at).nanos()));
+    }
+  }
+  series.newest = value;
+  if (value.valid) series.last_valid = value;
   ++records_written_;
 }
 
-std::optional<Measurement> MeasurementDatabase::current(
+std::optional<MetricValue> MeasurementDatabase::current(
     PathId id, Metric metric, sim::TimePoint now, sim::Duration max_age) const {
   const Series& series = series_[slot(id, metric)];
   if (!series.last_valid) return std::nullopt;
-  const Measurement& m = *series.last_valid;
+  const sim::Duration age = now - series.last_valid->measured_at;
   if constexpr (obs::kCompiledIn) {
     if (obs_age_read_ != nullptr) {
-      obs_age_read_->observe(static_cast<double>(m.age(now).nanos()));
+      obs_age_read_->observe(static_cast<double>(age.nanos()));
     }
   }
-  if (m.age(now) > max_age) return std::nullopt;
-  return m;
+  if (age > max_age) return std::nullopt;
+  return series.last_valid;
 }
 
-std::optional<Measurement> MeasurementDatabase::last_known(
+std::optional<MetricValue> MeasurementDatabase::last_known(
     PathId id, Metric metric) const {
   return series_[slot(id, metric)].last_valid;
 }
@@ -78,8 +69,8 @@ std::optional<Measurement> MeasurementDatabase::last_known(
 std::optional<sim::Duration> MeasurementDatabase::senescence(
     PathId id, Metric metric, sim::TimePoint now) const {
   const Series& series = series_[slot(id, metric)];
-  if (series.history.empty()) return std::nullopt;
-  return series.history.newest().age(now);
+  if (!series.newest) return std::nullopt;
+  return now - series.newest->measured_at;
 }
 
 void MeasurementDatabase::attach_observability(obs::Registry& registry,
@@ -100,7 +91,7 @@ void MeasurementDatabase::publish_retention_horizons(obs::Registry& registry,
                                                      const std::string& prefix) {
   horizons_ = obs::Scope(registry, prefix);
   for (std::size_t s = 0; s < series_.size(); ++s) {
-    if (series_[s].history.empty()) continue;
+    if (!series_[s].newest) continue;
     horizons_.gauge_fn(path_of(slot_path(s)).to_string() + "." +
                            to_string(slot_metric(s)) + ".retention_horizon_ns",
                        [this, s] {
@@ -109,13 +100,6 @@ void MeasurementDatabase::publish_retention_horizons(obs::Registry& registry,
                          return h ? static_cast<double>(*h) : -1.0;
                        });
   }
-}
-
-const util::RingBuffer<Measurement>* MeasurementDatabase::history(
-    PathId id, Metric metric) const {
-  const Series& series = series_[slot(id, metric)];
-  if (series.history.empty()) return nullptr;
-  return &series.history;
 }
 
 }  // namespace netmon::core

@@ -22,23 +22,16 @@
 #include "core/tiered_store.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace netmon::core {
 
-struct Measurement {
-  MetricValue value;
-  // Age helper relative to `now`.
-  sim::Duration age(sim::TimePoint now) const {
-    return now - value.measured_at;
-  }
-};
-
 class MeasurementDatabase {
  public:
-  explicit MeasurementDatabase(std::size_t history_depth = 64,
-                               TieredStorageConfig storage = {})
-      : history_depth_(history_depth), store_(std::move(storage)) {}
+  explicit MeasurementDatabase(TieredStorageConfig storage = {})
+      : store_(std::move(storage)) {}
+  // Ignores its first argument; kept for perfbench/src/wl_zones.cpp.
+  MeasurementDatabase(std::size_t, TieredStorageConfig storage)
+      : MeasurementDatabase(std::move(storage)) {}
   MeasurementDatabase(const MeasurementDatabase&) = delete;
   MeasurementDatabase& operator=(const MeasurementDatabase&) = delete;
 
@@ -51,13 +44,12 @@ class MeasurementDatabase {
 
   // Hot API, keyed by interned id.
   void record(PathId id, Metric metric, const MetricValue& value);
-  std::optional<Measurement> current(PathId id, Metric metric,
+  std::optional<MetricValue> current(PathId id, Metric metric,
                                      sim::TimePoint now,
                                      sim::Duration max_age) const;
-  std::optional<Measurement> last_known(PathId id, Metric metric) const;
+  std::optional<MetricValue> last_known(PathId id, Metric metric) const;
   std::optional<sim::Duration> senescence(PathId id, Metric metric,
                                           sim::TimePoint now) const;
-  const util::RingBuffer<Measurement>* history(PathId id, Metric metric) const;
 
   // Time-range query over the tiered store (DESIGN.md §13): aggregates over
   // [t0, t1] at the coarsest tier satisfying `resolution` (<= 0 requests the
@@ -79,22 +71,21 @@ class MeasurementDatabase {
   const TieredStore& tiered() const { return store_; }
   TieredStore& tiered() { return store_; }
 
-  // Federation surfaces (DESIGN.md §14). These split record()'s two halves
-  // so a parent can merge a child's stream without double-counting:
+  // Federation surfaces (DESIGN.md §14): record()'s two halves, apart, so a
+  // parent can merge a child's stream without double-counting.
   //
-  // merge_points feeds already-aggregated tier points into the tiered store
-  // ONLY — the ring/last-known fast path is untouched, so replayed pages
-  // can never duplicate what deltas already delivered.
+  // record_current is the field half: it updates the newest and newest-valid
+  // samples (current, last_known, senescence) and never touches the store,
+  // so a delta and the page that later summarizes the same sample cannot
+  // both land in it.
+  void record_current(PathId id, Metric metric, const MetricValue& value);
+  // merge_points is the store half: already-aggregated tier points go into
+  // the tiered store only, so replayed pages never move the fields.
   void merge_points(PathId id, Metric metric, const TierPoint* points,
                     std::size_t n) {
     store_.import_points(static_cast<std::uint32_t>(slot(id, metric)), points,
                          n);
   }
-  // record_current updates the ring/last-known fast path ONLY — the store
-  // never sees it, so a delta and the page that later summarizes the same
-  // sample land in disjoint structures. Senescence and current/last_known
-  // behave exactly as for locally recorded samples.
-  void record_current(PathId id, Metric metric, const MetricValue& value);
 
   // Called at the end of every record() with the sample just written — the
   // child side of federation taps its outbound delta stream here. Null (the
@@ -128,7 +119,7 @@ class MeasurementDatabase {
   }
   // Current-value semantics: the newest sample iff it is younger than
   // max_age (and was a successful measurement).
-  std::optional<Measurement> current(const Path& path, Metric metric,
+  std::optional<MetricValue> current(const Path& path, Metric metric,
                                      sim::TimePoint now,
                                      sim::Duration max_age) const {
     const PathId id = find(path);
@@ -137,7 +128,7 @@ class MeasurementDatabase {
   }
   // Last-known-value semantics: the newest *successful* sample regardless
   // of age — what the manager falls back to when sensors go quiet.
-  std::optional<Measurement> last_known(const Path& path,
+  std::optional<MetricValue> last_known(const Path& path,
                                         Metric metric) const {
     const PathId id = find(path);
     if (id == kInvalidPathId) return std::nullopt;
@@ -149,12 +140,6 @@ class MeasurementDatabase {
     const PathId id = find(path);
     if (id == kInvalidPathId) return std::nullopt;
     return senescence(id, metric, now);
-  }
-  const util::RingBuffer<Measurement>* history(const Path& path,
-                                               Metric metric) const {
-    const PathId id = find(path);
-    if (id == kInvalidPathId) return nullptr;
-    return history(id, metric);
   }
 
   std::uint64_t records_written() const { return records_written_; }
@@ -173,10 +158,11 @@ class MeasurementDatabase {
                             std::string prefix = "db");
 
  private:
+  // The two values the paper's current/last-known reporting needs; every
+  // older sample lives only in the tiered store.
   struct Series {
-    util::RingBuffer<Measurement> history;
-    std::optional<Measurement> last_valid;
-    explicit Series(std::size_t depth) : history(depth) {}
+    std::optional<MetricValue> newest;
+    std::optional<MetricValue> last_valid;
   };
 
   std::size_t slot(PathId id, Metric metric) const {
@@ -184,7 +170,6 @@ class MeasurementDatabase {
            static_cast<std::size_t>(metric);
   }
 
-  std::size_t history_depth_;
   TieredStore store_;
   // Keyed on Path's precomputed structural hash: the steady-state interning
   // lookup is a bucket probe plus one equality check, no string re-hashing.

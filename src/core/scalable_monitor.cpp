@@ -128,8 +128,7 @@ ScalableMonitor::ScalableMonitor(net::Network& network, net::Host& station,
       manager_(station, config.manager),
       sensor_(network, manager_, config.sensor),
       director_(network.simulator(), config.max_concurrent,
-                config.supervision, config.history_depth,
-                std::move(config.storage)) {
+                config.supervision, std::move(config.storage)) {
   director_.register_sensor(Metric::kThroughput, &sensor_);
   director_.register_sensor(Metric::kOneWayLatency, &sensor_);
   director_.register_sensor(Metric::kReachability, &sensor_);

@@ -61,8 +61,6 @@ class ScalableMonitor {
     // load, so the budget/disjoint gates only bind if the caller installs a
     // profiler via director().set_probe_profiler().
     SchedulerConfig scheduling;
-    // Samples retained per (path, metric) series.
-    std::size_t history_depth = 64;
     // Tiered storage engine under the database (DESIGN.md §13).
     TieredStorageConfig storage;
     // Deadline/retry/breaker supervision; all off by default.

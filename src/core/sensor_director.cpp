@@ -22,11 +22,10 @@ SensorDirector::SensorDirector(sim::Simulator& sim, std::size_t max_concurrent)
 
 SensorDirector::SensorDirector(sim::Simulator& sim, std::size_t max_concurrent,
                                SupervisionConfig supervision,
-                               std::size_t history_depth,
                                TieredStorageConfig storage)
     : sim_(sim),
       sequencer_(max_concurrent),
-      database_(history_depth, std::move(storage)),
+      database_(std::move(storage)),
       supervision_(supervision) {
   // Simulation time drives the scheduler's senescence-weighted aging and
   // starvation accounting (inert under the default FIFO configuration).
@@ -298,7 +297,7 @@ void SensorDirector::exhaust(const JobRef& job, TestSequencer::Done done) {
       // Re-report the last known good value, flagged stale, while the
       // database records the failure (so senescence keeps advancing and
       // last_known is not refreshed with old data).
-      MetricValue reported = last->value;
+      MetricValue reported = *last;
       reported.quality = SampleQuality::kStale;
       MetricValue recorded = failed;
       recorded.quality = SampleQuality::kStale;

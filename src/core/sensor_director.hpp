@@ -153,7 +153,6 @@ class SensorDirector {
   SensorDirector(sim::Simulator& sim, std::size_t max_concurrent = 1);
   SensorDirector(sim::Simulator& sim, std::size_t max_concurrent,
                  SupervisionConfig supervision,
-                 std::size_t history_depth = 64,
                  TieredStorageConfig storage = {});
 
   // Sensor registration; the last *primary* registered for a metric wins

@@ -295,7 +295,7 @@ std::optional<sim::Duration> FedParent::zone_senescence(
   return std::max(*local, *silence);
 }
 
-std::optional<core::Measurement> FedParent::zone_current(
+std::optional<core::MetricValue> FedParent::zone_current(
     const std::string& zone, core::PathId id, core::Metric metric,
     sim::TimePoint now, sim::Duration max_age) const {
   if (zone_stale(zone, now)) return std::nullopt;

@@ -4,9 +4,9 @@
 // It listens for zone monitors, merges their streamed pages into its own
 // MeasurementDatabase's tiered store (idempotently: per-(zone, series)
 // watermarks make replayed pages no-ops), applies current-value deltas to
-// the ring/last-known fast path, accounts child-reported gaps as honest
-// point loss, and keeps a liveness view that marks a silent zone stale
-// instead of serving its last values as fresh.
+// the database's current/last-known fields, accounts child-reported gaps as
+// honest point loss, and keeps a liveness view that marks a silent zone
+// stale instead of serving its last values as fresh.
 //
 // Watermark semantics. For each declared series the parent tracks W = the
 // highest contiguously applied page sequence. A page with seq <= W is a
@@ -69,7 +69,7 @@ class FedParent {
                                                core::Metric metric,
                                                sim::TimePoint now) const;
   // Current value, refusing to answer from a stale zone.
-  std::optional<core::Measurement> zone_current(const std::string& zone,
+  std::optional<core::MetricValue> zone_current(const std::string& zone,
                                                 core::PathId id,
                                                 core::Metric metric,
                                                 sim::TimePoint now,

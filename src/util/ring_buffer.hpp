@@ -1,7 +1,7 @@
 #pragma once
 
 // Fixed-capacity ring buffer; oldest entries are overwritten when full.
-// Used by the measurement database and RMON history group.
+// Used by the RMON history group and packet capture.
 
 #include <cstddef>
 #include <stdexcept>

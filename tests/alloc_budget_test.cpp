@@ -4,7 +4,8 @@
 // scenario up — pools, rings, tables and socket free lists reach their
 // working size — and then bounds the allocations of its steady state per
 // unit of work: per recorded sample for the paper's 9x3 reachability round,
-// and per forwarded frame for a UDP stream through a switch.
+// per forwarded frame for a UDP stream through a switch, and per path the
+// measurement database interns.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "apps/testbed.hpp"
 #include "core/high_fidelity_monitor.hpp"
 #include "core/lane_scheduler.hpp"
+#include "core/measurement_db.hpp"
 #include "manager/resource_manager.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
@@ -229,6 +231,34 @@ TEST(AllocBudget, WarmAdmissionCycleWithTimedReleaseAllocatesNothing) {
   EXPECT_EQ(run.sched.completed(), 20u * 16u);
   EXPECT_EQ(run.sched.abandoned(), 0u);
   EXPECT_EQ(run.completions, 20u * 120u);
+}
+
+// Interning a path stores one map node holding a copy of the Path, whose
+// endpoint vector is the second allocation; the per-metric series are plain
+// fields in one dense vector. What remains is the geometric growth of the
+// id map's buckets and the two dense vectors, a few dozen allocations over
+// 10k paths.
+TEST(AllocBudget, InterningAPathCostsTwoAllocations) {
+  constexpr std::uint64_t kPaths = 10000;
+  constexpr std::uint64_t kGrowth = 64;
+  std::vector<core::Path> paths;
+  paths.reserve(kPaths);
+  for (std::uint64_t i = 0; i < kPaths; ++i) {
+    const auto lo = static_cast<std::uint8_t>(i & 0xFF);
+    const auto hi = static_cast<std::uint8_t>(i >> 8);
+    paths.emplace_back(
+        core::ProcessEndpoint{"server", net::IpAddr(10, 1, hi, lo), 1},
+        core::ProcessEndpoint{"client", net::IpAddr(10, 2, hi, lo), 2});
+  }
+  core::MeasurementDatabase db;
+  const std::uint64_t allocs0 = g_allocs;
+  for (const core::Path& path : paths) db.id_of(path);
+  const std::uint64_t allocs = g_allocs - allocs0;
+
+  ASSERT_EQ(db.interned_paths(), kPaths);
+  EXPECT_LE(allocs, 2 * kPaths + kGrowth)
+      << static_cast<double>(allocs) / static_cast<double>(kPaths)
+      << " allocations per interned path";
 }
 
 }  // namespace

@@ -51,13 +51,13 @@ TEST(MeasurementDb, CurrentVsLastKnown) {
   const auto t_fresh = t0 + Duration::sec(1);
   auto current = db.current(p, Metric::kThroughput, t_fresh, Duration::sec(5));
   ASSERT_TRUE(current);
-  EXPECT_DOUBLE_EQ(current->value.value, 5e6);
+  EXPECT_DOUBLE_EQ(current->value, 5e6);
 
   const auto t_stale = t0 + Duration::sec(100);
   EXPECT_FALSE(db.current(p, Metric::kThroughput, t_stale, Duration::sec(5)));
   auto last = db.last_known(p, Metric::kThroughput);
   ASSERT_TRUE(last);
-  EXPECT_DOUBLE_EQ(last->value.value, 5e6);
+  EXPECT_DOUBLE_EQ(last->value, 5e6);
 }
 
 TEST(MeasurementDb, LastKnownSurvivesFailedMeasurements) {
@@ -69,8 +69,8 @@ TEST(MeasurementDb, LastKnownSurvivesFailedMeasurements) {
             MetricValue::failed(TimePoint::from_nanos(200)));
   auto last = db.last_known(p, Metric::kThroughput);
   ASSERT_TRUE(last);
-  EXPECT_TRUE(last->value.valid);
-  EXPECT_DOUBLE_EQ(last->value.value, 5e6);
+  EXPECT_TRUE(last->valid);
+  EXPECT_DOUBLE_EQ(last->value, 5e6);
   // Senescence reflects the newest record, even a failed one.
   auto age = db.senescence(p, Metric::kThroughput, TimePoint::from_nanos(500));
   ASSERT_TRUE(age);
@@ -90,18 +90,33 @@ TEST(MeasurementDb, SeriesAreIndependentPerMetricAndPath) {
 }
 
 TEST(MeasurementDb, HistoryBounded) {
-  MeasurementDatabase db(4);
+  // Older samples live only in the tiered store, whose page pool bounds
+  // them: two 4-point raw pages hold at most 8 of the 10 samples.
+  TieredStorageConfig storage;
+  storage.page_points = 4;
+  storage.tiers = 1;
+  storage.max_pages = 2;
+  MeasurementDatabase db(storage);
   const Path p = make_path(1, 2);
   for (int i = 0; i < 10; ++i) {
     db.record(p, Metric::kOneWayLatency,
               MetricValue::of(i, TimePoint::from_nanos(i)));
   }
-  const auto* history = db.history(p, Metric::kOneWayLatency);
-  ASSERT_NE(history, nullptr);
-  EXPECT_EQ(history->size(), 4u);
-  EXPECT_DOUBLE_EQ(history->newest().value.value, 9.0);
-  EXPECT_DOUBLE_EQ(history->oldest().value.value, 6.0);
+  const TierQueryResult history =
+      db.query(p, Metric::kOneWayLatency, TimePoint::from_nanos(0),
+               TimePoint::from_nanos(9), Duration::ns(0));
+  ASSERT_EQ(history.points.size(), 6u);
+  EXPECT_DOUBLE_EQ(history.points.front().mean, 4.0);
+  EXPECT_DOUBLE_EQ(history.points.back().mean, 9.0);
+  ASSERT_EQ(history.gaps.size(), 1u);  // the evicted oldest page
+  EXPECT_EQ(history.gaps[0].from_ns, 0);
+  EXPECT_LE(db.tiered().stats().pages_in_use, 2u);
   EXPECT_EQ(db.records_written(), 10u);
+  // The newest sample still answers senescence and last_known.
+  EXPECT_EQ(db.senescence(p, Metric::kOneWayLatency, TimePoint::from_nanos(9))
+                ->nanos(),
+            0);
+  EXPECT_DOUBLE_EQ(db.last_known(p, Metric::kOneWayLatency)->value, 9.0);
 }
 
 TEST(MeasurementDb, PathInterningIsStableAndDense) {
@@ -120,7 +135,11 @@ TEST(MeasurementDb, PathInterningIsStableAndDense) {
   // Interning alone creates no tracked series.
   EXPECT_EQ(db.tracked_series(), 0u);
   EXPECT_FALSE(db.last_known(p1, Metric::kThroughput));
-  EXPECT_EQ(db.history(p1, Metric::kThroughput), nullptr);
+  EXPECT_FALSE(
+      db.senescence(p1, Metric::kThroughput, TimePoint::from_nanos(0)));
+  EXPECT_TRUE(db.query(p1, Metric::kThroughput, TimePoint::from_nanos(0),
+                       TimePoint::from_nanos(1000), Duration::ns(0))
+                  .points.empty());
 }
 
 TEST(MeasurementDb, IdAndPathKeyedApisAgree) {
@@ -135,11 +154,102 @@ TEST(MeasurementDb, IdAndPathKeyedApisAgree) {
   auto by_id = db.last_known(id, Metric::kOneWayLatency);
   auto by_path = db.last_known(p, Metric::kOneWayLatency);
   ASSERT_TRUE(by_id && by_path);
-  EXPECT_DOUBLE_EQ(by_id->value.value, 0.7);
-  EXPECT_DOUBLE_EQ(by_path->value.value, 0.7);
-  EXPECT_EQ(db.history(id, Metric::kOneWayLatency)->size(), 2u);
+  EXPECT_DOUBLE_EQ(by_id->value, 0.7);
+  EXPECT_DOUBLE_EQ(by_path->value, 0.7);
+  const auto from = TimePoint::from_nanos(0);
+  const auto to = TimePoint::from_nanos(200);
+  const Metric m = Metric::kOneWayLatency;
+  EXPECT_EQ(db.query(id, m, from, to, Duration::ns(0)).points.size(), 2u);
+  EXPECT_EQ(db.query(p, m, from, to, Duration::ns(0)).points.size(), 2u);
   EXPECT_EQ(db.tracked_series(), 1u);
   EXPECT_EQ(db.records_written(), 2u);
+}
+
+// Federation (DESIGN.md §14) splits record() into a field half and a store
+// half, so a parent never counts one sample twice.
+TEST(MeasurementDb, RecordCurrentMovesOnlyTheFields) {
+  MeasurementDatabase db;
+  const Path p = make_path(1, 2);
+  const PathId id = db.id_of(p);
+  db.record_current(id, Metric::kThroughput,
+                    MetricValue::of(3.0, TimePoint::from_nanos(100)));
+  db.record_current(id, Metric::kThroughput,
+                    MetricValue::failed(TimePoint::from_nanos(200)));
+  EXPECT_EQ(db.records_written(), 2u);
+  EXPECT_EQ(db.tracked_series(), 1u);
+  EXPECT_EQ(db.senescence(id, Metric::kThroughput, TimePoint::from_nanos(250))
+                ->nanos(),
+            50);
+  ASSERT_TRUE(db.last_known(id, Metric::kThroughput));
+  EXPECT_DOUBLE_EQ(db.last_known(id, Metric::kThroughput)->value, 3.0);
+  EXPECT_TRUE(db.current(id, Metric::kThroughput, TimePoint::from_nanos(250),
+                         Duration::sec(1)));
+  // The store saw nothing.
+  EXPECT_EQ(db.tiered().stats().samples, 0u);
+  EXPECT_TRUE(db.query(id, Metric::kThroughput, TimePoint::from_nanos(0),
+                       TimePoint::from_nanos(300), Duration::ns(0))
+                  .points.empty());
+}
+
+TEST(MeasurementDb, MergePointsMovesOnlyTheStore) {
+  MeasurementDatabase db;
+  const PathId id = db.id_of(make_path(1, 2));
+  TierPoint points[2];
+  points[0].first_ns = points[0].last_ns = 100;
+  points[1].first_ns = 150;
+  points[1].last_ns = 200;
+  for (TierPoint& point : points) {
+    point.min = point.max = point.sum = 4.0;
+    point.count = point.valid_count = 1;
+  }
+  db.merge_points(id, Metric::kThroughput, points, 2);
+  const TierQueryResult merged =
+      db.query(id, Metric::kThroughput, TimePoint::from_nanos(0),
+               TimePoint::from_nanos(300), Duration::ns(0));
+  ASSERT_EQ(merged.points.size(), 2u);
+  EXPECT_EQ(merged.points.back().last_ns, 200);
+  EXPECT_EQ(db.tiered().stats().imported_points, 2u);
+  EXPECT_EQ(db.tiered().stats().samples, 0u);
+  // The fields saw nothing.
+  EXPECT_EQ(db.records_written(), 0u);
+  EXPECT_EQ(db.tracked_series(), 0u);
+  EXPECT_FALSE(db.last_known(id, Metric::kThroughput));
+  EXPECT_FALSE(db.current(id, Metric::kThroughput, TimePoint::from_nanos(250),
+                          Duration::sec(1)));
+  EXPECT_FALSE(
+      db.senescence(id, Metric::kThroughput, TimePoint::from_nanos(250)));
+}
+
+TEST(MeasurementDb, RecordDoesBothHalvesAndFiresHookOnce) {
+  MeasurementDatabase db;
+  const PathId id = db.id_of(make_path(1, 2));
+  std::vector<MetricValue> hooked;
+  db.set_record_hook([&](PathId at, Metric metric, const MetricValue& v) {
+    EXPECT_EQ(at, id);
+    EXPECT_EQ(metric, Metric::kReachability);
+    hooked.push_back(v);
+  });
+  MetricValue sample = MetricValue::of(1.0, TimePoint::from_nanos(100));
+  sample.quality = SampleQuality::kRetried;
+  db.record(id, Metric::kReachability, sample);
+  ASSERT_EQ(hooked.size(), 1u);
+  EXPECT_EQ(hooked[0].quality, SampleQuality::kRetried);
+  EXPECT_EQ(db.records_written(), 1u);
+  EXPECT_EQ(db.last_known(id, Metric::kReachability)->quality,
+            SampleQuality::kRetried);
+  EXPECT_EQ(db.tiered().stats().samples, 1u);
+  EXPECT_EQ(db.query(id, Metric::kReachability, TimePoint::from_nanos(0),
+                     TimePoint::from_nanos(100), Duration::ns(0))
+                .points.size(),
+            1u);
+  // Neither half alone reaches the hook.
+  db.record_current(id, Metric::kReachability,
+                    MetricValue::of(1.0, TimePoint::from_nanos(200)));
+  TierPoint point;
+  point.first_ns = point.last_ns = 300;
+  point.count = 1;
+  db.merge_points(id, Metric::kReachability, &point, 1);
+  EXPECT_EQ(hooked.size(), 1u);
 }
 
 TEST(MeasurementDb, SenescenceMonotoneBetweenUpdates) {

@@ -173,7 +173,7 @@ TieredStorageConfig tiny_config() {
 void run_stream(std::uint64_t seed, bool verify, StreamOutcome* outcome) {
   StreamOutcome& out = *outcome;
   util::Rng rng(seed);
-  MeasurementDatabase db(/*history_depth=*/16, tiny_config());
+  MeasurementDatabase db(tiny_config());
   std::vector<core::Path> paths;
   std::vector<PathId> ids;
   for (int i = 0; i < kPaths; ++i) {
@@ -256,8 +256,8 @@ void run_stream(std::uint64_t seed, bool verify, StreamOutcome* outcome) {
         ASSERT_FALSE(known.has_value());
       } else {
         ASSERT_TRUE(known.has_value());
-        ASSERT_EQ(known->value.value, last_valid->value);
-        ASSERT_EQ(known->value.measured_at.nanos(), last_valid->at);
+        ASSERT_EQ(known->value, last_valid->value);
+        ASSERT_EQ(known->measured_at.nanos(), last_valid->at);
       }
       const auto age =
           db.senescence(id, metric, TimePoint::from_nanos(horizon));
@@ -439,7 +439,7 @@ TEST(DbProperty, SelectTierFollowsMeanIntervalRule) {
 TEST(DbProperty, DisabledStoreIsInert) {
   TieredStorageConfig config;
   config.enabled = false;
-  MeasurementDatabase db(16, config);
+  MeasurementDatabase db(config);
   const core::Path path(
       core::ProcessEndpoint{"s", net::IpAddr(10, 0, 0, 1), 1},
       core::ProcessEndpoint{"c", net::IpAddr(10, 0, 0, 2), 1});

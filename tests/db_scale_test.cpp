@@ -92,7 +92,7 @@ TEST(DbScaleSoak, TieredIngestSustainsRateWithinMemoryBound) {
   config.max_pages = 32768;
 
   obs::Registry registry;
-  MeasurementDatabase db(/*history_depth=*/2, config);
+  MeasurementDatabase db(config);
   db.attach_observability(registry, "db");
 
   std::vector<PathId> ids;

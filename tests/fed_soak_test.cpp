@@ -77,9 +77,9 @@ TEST(FedSoak, TwoZoneFabricSurvivesPartitionAndCrash) {
     }
   }
 
-  core::MeasurementDatabase parent_db(4, parent_tiers());
-  core::MeasurementDatabase db_a(4, zone_tiers());
-  core::MeasurementDatabase db_b(4, zone_tiers());
+  core::MeasurementDatabase parent_db(parent_tiers());
+  core::MeasurementDatabase db_a(zone_tiers());
+  core::MeasurementDatabase db_b(zone_tiers());
 
   FedParent parent(fabric.station(), parent_db, {});
   auto child_config = [&](const std::string& zone) {
@@ -272,8 +272,8 @@ ReplayLogs run_replay_scenario(std::uint64_t seed) {
   network.connect(parent_host, net::IpAddr(10, 0, 0, 1), child_host,
                   net::IpAddr(10, 0, 0, 2), 24, 10e6, Duration::ms(1));
   network.auto_route();
-  core::MeasurementDatabase parent_db(4, parent_tiers());
-  core::MeasurementDatabase child_db(4, zone_tiers());
+  core::MeasurementDatabase parent_db(parent_tiers());
+  core::MeasurementDatabase child_db(zone_tiers());
   FedParent parent(parent_host, parent_db, {});
   FedChildConfig cfg;
   cfg.zone = "soak-det";

@@ -292,9 +292,7 @@ core::TieredStorageConfig small_tiers() {
 class FedFixture : public ::testing::Test {
  protected:
   FedFixture()
-      : network(sim, util::Rng(7)),
-        parent_db(16),
-        child_db(16, small_tiers()) {
+      : network(sim, util::Rng(7)), child_db(small_tiers()) {
     parent_host = &network.add_host("parent");
     child_host = &network.add_host("child");
     network.connect(*parent_host, net::IpAddr(10, 0, 0, 1), *child_host,
@@ -560,7 +558,7 @@ TEST_F(FedFixture, StreamsEverySealedPointExactlyOnce) {
   const auto current = parent.zone_current("zone-a", pid, Metric::kThroughput,
                                            sim.now(), Duration::sec(30));
   ASSERT_TRUE(current.has_value());
-  EXPECT_DOUBLE_EQ(current->value.value, 1000.0 + 39);
+  EXPECT_DOUBLE_EQ(current->value, 1000.0 + 39);
 }
 
 TEST_F(FedFixture, SpoolOverflowShedsOldestAndAccountsEveryPoint) {
@@ -748,8 +746,8 @@ ScenarioLogs run_scenario(std::uint64_t seed) {
   network.connect(parent_host, net::IpAddr(10, 0, 0, 1), child_host,
                   net::IpAddr(10, 0, 0, 2), 24, 10e6, Duration::ms(1));
   network.auto_route();
-  core::MeasurementDatabase parent_db(16);
-  core::MeasurementDatabase child_db(16, small_tiers());
+  core::MeasurementDatabase parent_db;
+  core::MeasurementDatabase child_db(small_tiers());
   FedParent parent(parent_host, parent_db, {});
   FedChildConfig cfg;
   cfg.zone = "det-zone";

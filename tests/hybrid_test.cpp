@@ -67,7 +67,7 @@ TEST_F(HybridFixture, CalmNetworkStaysInBackgroundMode) {
   const auto m = monitor.database().last_known(paths_to({1})[0].path,
                                                Metric::kReachability);
   ASSERT_TRUE(m.has_value());
-  EXPECT_TRUE(m->value.valid);
+  EXPECT_TRUE(m->valid);
   monitor.stop();
 }
 
@@ -114,15 +114,15 @@ TEST_F(HybridFixture, TargetedRecordHoldsAuthorityOverBackground) {
   const auto targeted = monitor.database().last_known(path,
                                                       Metric::kThroughput);
   ASSERT_TRUE(targeted.has_value());
-  ASSERT_TRUE(targeted->value.valid);
+  ASSERT_TRUE(targeted->valid);
 
   // Several more background rounds: the lower-fidelity samples must not
   // displace the younger high-fidelity record.
   sim_.run_for(Duration::sec(5));
   const auto after = monitor.database().last_known(path, Metric::kThroughput);
   ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(after->value.measured_at, targeted->value.measured_at);
-  EXPECT_EQ(after->value.value, targeted->value.value);
+  EXPECT_EQ(after->measured_at, targeted->measured_at);
+  EXPECT_EQ(after->value, targeted->value);
   monitor.stop();
 }
 

@@ -118,7 +118,7 @@ TEST(Integration, DatabaseServesLastKnownAfterFailure) {
   auto fresh = monitor.database().current(
       bed.path(0, 0), core::Metric::kThroughput, sim.now(), Duration::sec(2));
   ASSERT_TRUE(fresh);
-  const double healthy_value = fresh->value.value;
+  const double healthy_value = fresh->value;
 
   bed.client(0).set_up(false);
   sim.run_for(Duration::sec(10));
@@ -132,7 +132,7 @@ TEST(Integration, DatabaseServesLastKnownAfterFailure) {
   auto last = monitor.database().last_known(bed.path(0, 0),
                                             core::Metric::kThroughput);
   ASSERT_TRUE(last);
-  EXPECT_DOUBLE_EQ(last->value.value, healthy_value);
+  EXPECT_DOUBLE_EQ(last->value, healthy_value);
 }
 
 // High-fidelity and SNMP monitors must agree on gross reachability, while

@@ -474,7 +474,7 @@ TEST(RetentionHorizons, PublishedPerSeriesAndVisibleInSelfMib) {
   storage.rollup_factor = 4;
   storage.tiers = 2;
   Registry reg;
-  core::MeasurementDatabase db(16, storage);
+  core::MeasurementDatabase db(storage);
   const core::Path path(
       core::ProcessEndpoint{"s", net::IpAddr(10, 9, 0, 1), 1},
       core::ProcessEndpoint{"c", net::IpAddr(10, 9, 0, 2), 1});
@@ -524,7 +524,7 @@ TEST(RetentionHorizons, DisabledTiersReadMinusOne) {
   core::TieredStorageConfig storage;
   storage.enabled = false;
   Registry reg;
-  core::MeasurementDatabase db(16, storage);
+  core::MeasurementDatabase db(storage);
   const core::Path path(
       core::ProcessEndpoint{"s", net::IpAddr(10, 9, 1, 1), 1},
       core::ProcessEndpoint{"c", net::IpAddr(10, 9, 1, 2), 1});

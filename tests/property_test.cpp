@@ -182,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SegmentConservationSweep,
 
 TEST(MeasurementDbProperty, LastKnownAlwaysNewestValidRecord) {
   util::Rng rng(77);
-  core::MeasurementDatabase db(8);
+  core::MeasurementDatabase db;
   core::Path path(
       core::ProcessEndpoint{"a", net::IpAddr(1, 1, 1, 1), 0},
       core::ProcessEndpoint{"b", net::IpAddr(2, 2, 2, 2), 0});
@@ -200,8 +200,8 @@ TEST(MeasurementDbProperty, LastKnownAlwaysNewestValidRecord) {
     auto last = db.last_known(path, core::Metric::kThroughput);
     ASSERT_EQ(last.has_value(), newest_valid.has_value());
     if (last) {
-      EXPECT_EQ(last->value.measured_at.nanos(), newest_valid->first);
-      EXPECT_DOUBLE_EQ(last->value.value, newest_valid->second);
+      EXPECT_EQ(last->measured_at.nanos(), newest_valid->first);
+      EXPECT_DOUBLE_EQ(last->value, newest_valid->second);
     }
     // Senescence equals the age of the newest record of any validity.
     auto age = db.senescence(path, core::Metric::kThroughput,

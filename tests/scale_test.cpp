@@ -64,7 +64,6 @@ SoakResult run_soak(const SchedulerConfig& scheduling) {
   core::HighFidelityMonitor::Config cfg;
   cfg.probe = soak_probe();
   cfg.scheduling = scheduling;
-  cfg.history_depth = 2;  // 10k paths: keep the DB footprint flat
   cfg.supervision.deadline = Duration::sec(2);
   core::HighFidelityMonitor monitor(bed.network(), cfg);
   monitor.director().attach_observability(registry, "director");
@@ -98,13 +97,16 @@ SoakResult run_soak(const SchedulerConfig& scheduling) {
   if (round_ends_s.size() >= 2) {
     result.round_duration_s = round_ends_s[1] - round_ends_s[0];
   }
-  const auto* history =
-      monitor.database().history(bed.path(0, 0), core::Metric::kThroughput);
-  if (history != nullptr && history->size() >= 2) {
-    const auto& h = *history;
-    result.sample_gap_s = (h[h.size() - 1].value.measured_at -
-                           h[h.size() - 2].value.measured_at)
-                              .to_seconds();
+  // The last two raw points sit in the series' open tier-0 page, which the
+  // store never evicts (a just-sealed predecessor could be).
+  const auto raw = monitor.database().query(
+      bed.path(0, 0), core::Metric::kThroughput, sim::TimePoint::from_nanos(0),
+      sim.now(), Duration::ns(0));
+  if (raw.points.size() >= 2) {
+    const auto& h = raw.points;
+    result.sample_gap_s =
+        Duration::ns(h[h.size() - 1].last_ns - h[h.size() - 2].last_ns)
+            .to_seconds();
   }
   result.metered_peak_bps = meter.peak_bps(net::TrafficClass::kMonitoring);
   monitor.director().sequencer().check_consistency();

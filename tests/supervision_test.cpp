@@ -578,6 +578,9 @@ TEST(Supervision, StaleReReportOnExhaustion) {
   ASSERT_EQ(first.size(), 1u);
   const TimePoint good_at = first[0].value.measured_at;
 
+  MetricValue recorded;
+  director.database().set_record_hook(
+      [&recorded](PathId, Metric, const MetricValue& v) { recorded = v; });
   sensor.behavior = ScriptedSensor::Behavior::kFail;
   auto second = run_once(sim, director, p, Metric::kThroughput);
   ASSERT_EQ(second.size(), 1u);
@@ -594,11 +597,17 @@ TEST(Supervision, StaleReReportOnExhaustion) {
   // recycled data, and senescence keeps growing.
   auto last = director.database().last_known(p, Metric::kThroughput);
   ASSERT_TRUE(last);
-  EXPECT_EQ(last->value.measured_at.nanos(), good_at.nanos());
-  const auto* history = director.database().history(p, Metric::kThroughput);
-  ASSERT_NE(history, nullptr);
-  EXPECT_FALSE(history->newest().value.valid);
-  EXPECT_EQ(history->newest().value.quality, SampleQuality::kStale);
+  EXPECT_EQ(last->measured_at.nanos(), good_at.nanos());
+  const auto age = director.database().senescence(p, Metric::kThroughput,
+                                                  sim.now());
+  ASSERT_TRUE(age);
+  EXPECT_LT(age->nanos(), (sim.now() - good_at).nanos());
+  EXPECT_FALSE(recorded.valid);
+  EXPECT_EQ(recorded.quality, SampleQuality::kStale);
+  const TierQueryResult stored = director.database().query(
+      p, Metric::kThroughput, good_at, sim.now(), Duration::ns(0));
+  ASSERT_EQ(stored.points.size(), 2u);
+  EXPECT_EQ(stored.points.back().valid_count, 0u);
 }
 
 TEST(Supervision, StaleWithoutHistoryStillReportsFailure) {
